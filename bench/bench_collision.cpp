@@ -15,15 +15,7 @@
 // A final parity gate repeats (3) on the canonical scenario (the CI smoke
 // gate). Results land in the `collision` block of a sim::RunReport.
 //
-// Usage:
-//   bench_collision [options]
-//     --episodes N        episodes per backend per density (default 6)
-//     --densities LIST    comma list of crowded_lot multipliers (default 1,4,10)
-//     --queries N         random poses per query-rate measurement (default 20000)
-//     --grid-resolution X grid cell size in metres (default 0.15)
-//     --report PATH       write the RunReport JSON artifact
-//     --quick             smoke mode: 2 episodes, 4000 queries
-//
+// The flags are declared once in main(); a bad argument prints them all.
 // Exit codes: 0 ok, 1 verdict mismatch between backends, 2 usage error,
 // 3 I/O error.
 
@@ -35,8 +27,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "core/controller_registry.hpp"
+#include "driver.hpp"
 #include "geom/angles.hpp"
 #include "mathkit/rng.hpp"
 #include "mathkit/table.hpp"
@@ -47,17 +39,6 @@
 #include "world/world.hpp"
 
 namespace {
-
-using icoil::bench::parse_double_arg;
-using icoil::bench::parse_int_arg;
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--episodes N] [--densities LIST] [--queries N] "
-               "[--grid-resolution X] [--report PATH] [--quick]\n",
-               argv0);
-  return 2;
-}
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -96,10 +77,10 @@ QueryRates measure_queries(const icoil::world::World& world,
   // Warm pass fills caches so the timed pass measures steady state.
   volatile int sink = 0;
   for (const icoil::geom::Obb& fp : footprints)
-    sink += world.static_collision(fp) ? 1 : 0;
+    sink = sink + (world.static_collision(fp) ? 1 : 0);
   const auto t0 = std::chrono::steady_clock::now();
   for (const icoil::geom::Obb& fp : footprints) {
-    sink += world.static_collision(fp) ? 1 : 0;
+    sink = sink + (world.static_collision(fp) ? 1 : 0);
     out.clearances.push_back(world.static_clearance(fp));
   }
   const double elapsed = seconds_since(t0);
@@ -140,79 +121,36 @@ EpisodeSweep run_episodes(const icoil::world::Scenario& scenario,
   return sweep;
 }
 
-std::vector<double> parse_densities(const std::string& csv) {
-  std::vector<double> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string item = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) {
-      double v = 0.0;
-      if (!parse_double_arg(item.c_str(), &v) || v <= 0.0) return {};
-      out.push_back(v);
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace icoil;
 
+  using bench::above;
+
   int episodes = 6;
   int queries = 20000;
   double resolution = world::DistanceField::kDefaultResolution;
-  std::string densities_csv = "1,4,10";
-  std::string report_path;
+  std::vector<double> densities = {1, 4, 10};
+  bench::ReportOptions out;
   bool quick = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--episodes") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_int_arg(v, &episodes) || episodes <= 0)
-        return usage(argv[0]);
-    } else if (arg == "--queries") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_int_arg(v, &queries) || queries <= 0)
-        return usage(argv[0]);
-    } else if (arg == "--grid-resolution") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_double_arg(v, &resolution) || resolution <= 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--densities") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      densities_csv = v;
-    } else if (arg == "--report") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      report_path = v;
-    } else if (arg == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr, "bench_collision: unknown argument \"%s\"\n",
-                   arg.c_str());
-      return usage(argv[0]);
-    }
-  }
+  bench::Flags flags("bench_collision");
+  flags.value("--episodes", &episodes, "N",
+              "episodes per backend per density (default 6)", above(0))
+      .list("--densities", &densities, "LIST",
+            "crowded_lot clutter multipliers (default 1,4,10)", above(0))
+      .value("--queries", &queries, "N",
+             "random poses per query-rate measurement (default 20000)",
+             above(0))
+      .value("--grid-resolution", &resolution, "X",
+             "grid cell size [m] (default 0.15)", above(0))
+      .value("--report", &out.path, "PATH", "write the RunReport JSON artifact")
+      .flag("--quick", &quick, "smoke mode: 2 episodes, 4000 queries");
+  if (const int code = flags.parse(argc, argv); code != bench::Flags::kRun)
+    return code;
   if (quick) {
     episodes = std::min(episodes, 2);
     queries = std::min(queries, 4000);
-  }
-
-  const std::vector<double> densities = parse_densities(densities_csv);
-  if (densities.empty()) {
-    std::fprintf(stderr, "bench_collision: bad --densities \"%s\"\n",
-                 densities_csv.c_str());
-    return usage(argv[0]);
   }
 
   constexpr std::uint64_t kScenarioSeed = 7;
@@ -325,33 +263,17 @@ int main(int argc, char** argv) {
               resolution, queries, episodes);
   table.print(std::cout);
 
-  if (!report_path.empty()) {
-    sim::RunReport report;
-    report.meta.suite = "collision";
-    report.meta.git_describe = sim::build_git_describe();
-    report.meta.threads = 1;
-    report.meta.episodes_per_cell = episodes;
-    report.meta.base_seed = kEpisodeSeed;
-    sim::EvalConfig eval_config;
-    eval_config.episodes = episodes;
-    eval_config.base_seed = kEpisodeSeed;
-    eval_config.sim.grid_resolution = resolution;
-    report.meta.config_fingerprint = sim::config_fingerprint(eval_config);
-    report.collision = stats;
-    std::string error;
-    if (!report.save(report_path, &error)) {
-      std::fprintf(stderr, "bench_collision: %s\n", error.c_str());
-      return 3;
-    }
-    std::fprintf(stderr, "[collision] report written to %s\n",
-                 report_path.c_str());
-  }
+  sim::EvalConfig eval_config;
+  eval_config.episodes = episodes;
+  eval_config.base_seed = kEpisodeSeed;
+  eval_config.sim.grid_resolution = resolution;
+  sim::RunReport report;
+  report.meta = bench::report_meta("collision", 1, eval_config);
+  report.collision = stats;
 
-  if (!all_verdicts_match) {
+  if (!all_verdicts_match)
     std::fprintf(stderr,
                  "bench_collision: FAIL — grid and analytic backends "
                  "disagreed (outcomes or clearance bound)\n");
-    return 1;
-  }
-  return 0;
+  return bench::finish("bench_collision", report, out, all_verdicts_match);
 }

@@ -14,20 +14,7 @@
 //      (success-ratio drop and replans-per-mission drift tolerances).
 //
 // Results land in the `mission` block of a sim::RunReport (schema v2).
-//
-// Usage:
-//   bench_mission [options]
-//     --templates LIST   comma list of templates (default: all registered)
-//     --missions N       missions per template (default 4)
-//     --method NAME      controller registry key (default co)
-//     --seed S           base seed; mission m uses seed S+m (default 9000)
-//     --threads N        pool width for the wide pass (default recommended)
-//     --report PATH      write the RunReport JSON artifact
-//     --baseline PATH    compare against a committed baseline report
-//     --success-tol X    allowed mission success-ratio drop (default 0.02)
-//     --replan-tol X     allowed |replans/mission| drift (default 0.5)
-//     --list-templates   print registered mission templates and exit
-//     --quick            smoke mode: contested_lot only, 2 missions
+// The flags are declared once in main(); a bad argument prints them all.
 //
 // Exit codes: 0 ok, 1 gate failure (determinism, quick gate or baseline
 // regression), 2 usage error, 3 I/O error.
@@ -39,42 +26,15 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "core/controller_registry.hpp"
 #include "core/task_pool.hpp"
+#include "driver.hpp"
 #include "mathkit/fnv.hpp"
 #include "mathkit/table.hpp"
 #include "mission/mission.hpp"
 #include "sim/report.hpp"
 
 namespace {
-
-using icoil::bench::parse_double_arg;
-using icoil::bench::parse_int_arg;
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--templates LIST] [--missions N] [--method NAME] "
-               "[--seed S] [--threads N] [--report PATH] [--baseline PATH] "
-               "[--success-tol X] [--replan-tol X] [--list-templates] "
-               "[--quick]\n",
-               argv0);
-  return 2;
-}
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string item = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
 
 /// Nearest-rank percentile of an unsorted sample (q in [0,1]); 0 when empty.
 double percentile(std::vector<double> v, double q) {
@@ -119,98 +79,57 @@ std::vector<icoil::mission::MissionResult> run_missions(
 
 int main(int argc, char** argv) {
   using namespace icoil;
+  using bench::above;
+  using bench::at_least;
 
-  std::string templates_csv;
+  std::vector<std::string> templates;
   int missions = 4;
   std::string method = "co";
-  std::uint64_t seed = 9000;
+  int seed = 9000;
   int threads = 0;
-  std::string report_path;
-  std::string baseline_path;
-  sim::BaselineTolerance tolerance;
+  bench::ReportOptions out;
   bool quick = false;
+  const auto& registry = mission::MissionRegistry::instance();
+  bench::Flags flags("bench_mission");
+  flags.list("--templates", &templates, "LIST",
+             "templates to run (default: all registered)")
+      .value("--missions", &missions, "N", "missions per template (default 4)",
+             above(0))
+      .value("--method", &method, "NAME", "controller registry key (default co)")
+      .value("--seed", &seed, "S",
+             "base seed; mission m uses seed S+m (default 9000)", at_least(0))
+      .value("--threads", &threads, "N",
+             "pool width for the wide pass (default recommended)", at_least(0))
+      .value("--report", &out.path, "PATH", "write the RunReport JSON artifact")
+      .value("--baseline", &out.baseline_path, "PATH",
+             "compare against a committed baseline report")
+      .value("--success-tol", &out.tolerance.mission_success_drop, "X",
+             "allowed mission success-ratio drop (default 0.02)", at_least(0))
+      .value("--replan-tol", &out.tolerance.mission_replan_delta, "X",
+             "allowed |replans/mission| drift (default 0.5)", at_least(0))
+      .action("--list-templates", "print registered mission templates and exit",
+              [&registry] {
+                for (const std::string& name : registry.names())
+                  std::printf("%-16s %s\n", name.c_str(),
+                              registry.at(name).description.c_str());
+              })
+      .flag("--quick", &quick, "smoke mode: contested_lot only, 2 missions");
+  if (const int code = flags.parse(argc, argv); code != bench::Flags::kRun)
+    return code;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--templates") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      templates_csv = v;
-    } else if (arg == "--missions") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_int_arg(v, &missions) || missions <= 0)
-        return usage(argv[0]);
-    } else if (arg == "--method") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      method = v;
-    } else if (arg == "--seed") {
-      const char* v = next_value();
-      int s = 0;
-      if (v == nullptr || !parse_int_arg(v, &s) || s < 0) return usage(argv[0]);
-      seed = static_cast<std::uint64_t>(s);
-    } else if (arg == "--threads") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_int_arg(v, &threads) || threads < 0)
-        return usage(argv[0]);
-    } else if (arg == "--report") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      report_path = v;
-    } else if (arg == "--baseline") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      baseline_path = v;
-    } else if (arg == "--success-tol") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_double_arg(v, &tolerance.mission_success_drop) ||
-          tolerance.mission_success_drop < 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--replan-tol") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_double_arg(v, &tolerance.mission_replan_delta) ||
-          tolerance.mission_replan_delta < 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--list-templates") {
-      for (const std::string& name : mission::MissionRegistry::instance().names()) {
-        const mission::MissionSpec& spec =
-            mission::MissionRegistry::instance().at(name);
-        std::printf("%-16s %s\n", name.c_str(), spec.description.c_str());
-      }
-      return 0;
-    } else if (arg == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr, "bench_mission: unknown argument \"%s\"\n",
-                   arg.c_str());
-      return usage(argv[0]);
-    }
-  }
-
-  std::vector<std::string> templates = split_csv(templates_csv);
-  if (templates.empty()) {
+  if (templates.empty())
     templates = quick ? std::vector<std::string>{"contested_lot"}
-                      : mission::MissionRegistry::instance().names();
-  }
+                      : registry.names();
   if (quick) missions = std::min(missions, 2);
-  for (const std::string& t : templates) {
-    if (mission::MissionRegistry::instance().find(t) == nullptr) {
-      std::fprintf(stderr, "bench_mission: unknown template \"%s\"\n",
-                   t.c_str());
-      return usage(argv[0]);
-    }
-  }
+  for (const std::string& t : templates)
+    if (registry.find(t) == nullptr)
+      return flags.reject("unknown template \"" + t + "\"");
   const std::vector<std::string> known_methods =
       core::ControllerRegistry::instance().keys();
   if (std::find(known_methods.begin(), known_methods.end(), method) ==
-      known_methods.end()) {
-    std::fprintf(stderr, "bench_mission: unknown method \"%s\"\n",
-                 method.c_str());
-    return usage(argv[0]);
-  }
+      known_methods.end())
+    return flags.reject("unknown method \"" + method + "\"");
+  const auto base_seed = static_cast<std::uint64_t>(seed);
 
   // The wide pass deliberately ignores hardware concurrency: the gate is
   // "16 workers and 1 worker agree bit-for-bit", and a 16-worker pool on a
@@ -223,7 +142,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "[mission] wide pass: %d missions on %d threads\n",
                total_jobs, wide_threads);
   const std::vector<mission::MissionResult> wide =
-      run_missions(templates, missions, method, seed, wide_threads);
+      run_missions(templates, missions, method, base_seed, wide_threads);
 
   // Determinism gate: the same fan-out on a single worker must produce
   // bit-identical MissionResult fingerprints (wall clock excluded by
@@ -231,7 +150,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "[mission] narrow pass: %d missions on 1 thread\n",
                total_jobs);
   const std::vector<mission::MissionResult> narrow =
-      run_missions(templates, missions, method, seed, 1);
+      run_missions(templates, missions, method, base_seed, 1);
   bool deterministic = true;
   for (std::size_t i = 0; i < wide.size(); ++i) {
     if (wide[i].fingerprint() != narrow[i].fingerprint()) {
@@ -321,51 +240,19 @@ int main(int argc, char** argv) {
   std::printf("\nMission benchmark — %d missions/template, method %s, base "
               "seed %llu, %d threads (determinism checked vs 1)\n\n",
               missions, method.c_str(),
-              static_cast<unsigned long long>(seed), wide_threads);
+              static_cast<unsigned long long>(base_seed), wide_threads);
   table.print(std::cout);
 
-  sim::RunReport report;
-  report.meta.suite = "mission";
-  report.meta.git_describe = sim::build_git_describe();
-  report.meta.threads = wide_threads;
-  report.meta.episodes_per_cell = missions;
-  report.meta.base_seed = seed;
   sim::EvalConfig eval_config;
   eval_config.episodes = missions;
-  eval_config.base_seed = seed;
-  report.meta.config_fingerprint = sim::config_fingerprint(eval_config);
+  eval_config.base_seed = base_seed;
+  sim::RunReport report;
+  report.meta = bench::report_meta("mission", wide_threads, eval_config);
   report.mission = stats;
 
-  if (!report_path.empty()) {
-    std::string error;
-    if (!report.save(report_path, &error)) {
-      std::fprintf(stderr, "bench_mission: %s\n", error.c_str());
-      return 3;
-    }
-    std::fprintf(stderr, "[mission] report written to %s\n",
-                 report_path.c_str());
-  }
-
-  bool baseline_ok = true;
-  if (!baseline_path.empty()) {
-    sim::RunReport baseline;
-    std::string error;
-    if (!sim::RunReport::load(baseline_path, &baseline, &error)) {
-      std::fprintf(stderr, "bench_mission: cannot load baseline: %s\n",
-                   error.c_str());
-      return 3;
-    }
-    const sim::BaselineVerdict verdict =
-        sim::compare_to_baseline(report, baseline, tolerance);
-    std::printf("\n%s\n", verdict.summary().c_str());
-    baseline_ok = verdict.ok;
-  }
-
-  if (!deterministic) {
+  if (!deterministic)
     std::fprintf(stderr,
                  "bench_mission: FAIL — results differ across thread counts\n");
-    return 1;
-  }
-  if (!quick_gate_ok || !baseline_ok) return 1;
-  return 0;
+  return bench::finish("bench_mission", report, out,
+                       deterministic && quick_gate_ok);
 }

@@ -18,21 +18,7 @@
 // Results land in the `planner` block of a sim::RunReport; `speedup` is
 // each mode's mean plan time relative to the legacy planner on the cell.
 //
-// Usage:
-//   bench_planner [options]
-//     --plans N             scenarios per (family, density) cell (default 10)
-//     --reps K              timing repetitions per plan; the per-plan time
-//                           is the minimum of K runs (default 3) — the
-//                           planner is deterministic, so spread across reps
-//                           is scheduler noise, not work
-//     --families LIST       generator families to run (default: all five)
-//     --densities LIST      crowded_lot clutter multipliers (default 1,4)
-//     --frame-deadline-ms X budgeted-pass deadline (default 50; 0 = skip)
-//     --lut-res X           override HybridAStarConfig::lut_xy_resolution
-//     --lut-bins N          override HybridAStarConfig::lut_heading_bins
-//     --report PATH         write the RunReport JSON artifact
-//     --quick               smoke mode: 3 plans, no budgeted pass
-//
+// The flags are declared once in main(); a bad argument prints them all.
 // Exit codes: 0 ok, 1 success-parity failure, 2 usage error, 3 I/O error.
 
 #include <algorithm>
@@ -42,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "driver.hpp"
 #include "legacy_planner.hpp"
 #include "co/heuristic.hpp"
 #include "co/hybrid_astar.hpp"
@@ -55,18 +41,6 @@
 #include "world/scenario.hpp"
 
 namespace {
-
-using icoil::bench::parse_double_arg;
-using icoil::bench::parse_int_arg;
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--plans N] [--reps K] [--families LIST] "
-               "[--densities LIST] [--frame-deadline-ms X] [--lut-res X] "
-               "[--lut-bins N] [--report PATH] [--per-plan] [--quick]\n",
-               argv0);
-  return 2;
-}
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -224,113 +198,52 @@ ModeResult run_legacy(const std::vector<Problem>& problems) {
   return out;
 }
 
-std::vector<double> parse_densities(const std::string& csv) {
-  std::vector<double> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string item = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) {
-      double v = 0.0;
-      if (!parse_double_arg(item.c_str(), &v) || v <= 0.0) return {};
-      out.push_back(v);
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace icoil;
 
+  using bench::above;
+  using bench::at_least;
+
   int plans = 10;
   double deadline_ms = 50.0;
-  std::string densities_csv = "1,4";
-  std::string families_csv =
-      "canonical,perpendicular,parallel_street,crowded_lot,dynamic_gauntlet";
-  std::string report_path;
+  std::vector<double> densities = {1, 4};
+  std::vector<std::string> families = {"canonical", "perpendicular",
+                                       "parallel_street", "crowded_lot",
+                                       "dynamic_gauntlet"};
+  bench::ReportOptions out;
   bool quick = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--plans") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_int_arg(v, &plans) || plans <= 0)
-        return usage(argv[0]);
-    } else if (arg == "--reps") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_int_arg(v, &g_reps) || g_reps <= 0)
-        return usage(argv[0]);
-    } else if (arg == "--densities") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      densities_csv = v;
-    } else if (arg == "--families") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      families_csv = v;
-    } else if (arg == "--frame-deadline-ms") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_double_arg(v, &deadline_ms) ||
-          deadline_ms < 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--report") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      report_path = v;
-    } else if (arg == "--lut-res") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_double_arg(v, &g_lut_res) || g_lut_res <= 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--lut-bins") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_int_arg(v, &g_lut_bins) || g_lut_bins <= 0)
-        return usage(argv[0]);
-    } else if (arg == "--per-plan") {
-      g_per_plan = true;
-    } else if (arg == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr, "bench_planner: unknown argument \"%s\"\n",
-                   arg.c_str());
-      return usage(argv[0]);
-    }
-  }
+  bench::Flags flags("bench_planner");
+  flags.value("--plans", &plans, "N",
+              "scenarios per (family, density) cell (default 10)", above(0))
+      // The planner is deterministic, so spread across reps is scheduler
+      // noise, not work: the per-plan time is the minimum of K runs.
+      .value("--reps", &g_reps, "K",
+             "timing repetitions per plan, minimum taken (default 3)",
+             above(0))
+      .list("--families", &families, "LIST",
+            "generator families to run (default: all five)")
+      .list("--densities", &densities, "LIST",
+            "crowded_lot clutter multipliers (default 1,4)", above(0))
+      .value("--frame-deadline-ms", &deadline_ms, "X",
+             "budgeted-pass deadline (default 50; 0 = skip)", at_least(0))
+      .value("--lut-res", &g_lut_res, "X",
+             "override HybridAStarConfig::lut_xy_resolution", above(0))
+      .value("--lut-bins", &g_lut_bins, "N",
+             "override HybridAStarConfig::lut_heading_bins", above(0))
+      .value("--report", &out.path, "PATH", "write the RunReport JSON artifact")
+      .flag("--per-plan", &g_per_plan, "print one line per plan to stderr")
+      .flag("--quick", &quick, "smoke mode: 3 plans, no budgeted pass");
+  if (const int code = flags.parse(argc, argv); code != bench::Flags::kRun)
+    return code;
   if (quick) {
     plans = std::min(plans, 3);
     g_reps = 1;
     deadline_ms = 0.0;
   }
 
-  const std::vector<double> densities = parse_densities(densities_csv);
-  if (densities.empty()) {
-    std::fprintf(stderr, "bench_planner: bad --densities \"%s\"\n",
-                 densities_csv.c_str());
-    return usage(argv[0]);
-  }
-
   constexpr std::uint64_t kScenarioSeed = 300;
-  std::vector<std::string> families;
-  {
-    std::size_t start = 0;
-    while (start <= families_csv.size()) {
-      const std::size_t comma = families_csv.find(',', start);
-      const std::string item = families_csv.substr(
-          start,
-          comma == std::string::npos ? std::string::npos : comma - start);
-      if (!item.empty()) families.push_back(item);
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    if (families.empty()) return usage(argv[0]);
-  }
   const std::vector<co::HeuristicMode> modes = {
       co::HeuristicMode::kEuclidRs, co::HeuristicMode::kLut,
       co::HeuristicMode::kDijkstra, co::HeuristicMode::kMax};
@@ -421,32 +334,16 @@ int main(int argc, char** argv) {
                   : "off");
   table.print(std::cout);
 
-  if (!report_path.empty()) {
-    sim::RunReport report;
-    report.meta.suite = "planner";
-    report.meta.git_describe = sim::build_git_describe();
-    report.meta.threads = 1;
-    report.meta.episodes_per_cell = plans;
-    report.meta.base_seed = kScenarioSeed;
-    sim::EvalConfig eval_config;
-    eval_config.episodes = plans;
-    eval_config.base_seed = kScenarioSeed;
-    report.meta.config_fingerprint = sim::config_fingerprint(eval_config);
-    report.planner = stats;
-    std::string error;
-    if (!report.save(report_path, &error)) {
-      std::fprintf(stderr, "bench_planner: %s\n", error.c_str());
-      return 3;
-    }
-    std::fprintf(stderr, "[planner] report written to %s\n",
-                 report_path.c_str());
-  }
+  sim::EvalConfig eval_config;
+  eval_config.episodes = plans;
+  eval_config.base_seed = kScenarioSeed;
+  sim::RunReport report;
+  report.meta = bench::report_meta("planner", 1, eval_config);
+  report.planner = stats;
 
-  if (!parity_ok) {
+  if (!parity_ok)
     std::fprintf(stderr,
                  "bench_planner: FAIL — a cached heuristic lost a scenario "
                  "the euclid-rs baseline solves\n");
-    return 1;
-  }
-  return 0;
+  return bench::finish("bench_planner", report, out, parity_ok);
 }

@@ -14,39 +14,11 @@
 // containing the load levels completed so far — is written (meta.aborted)
 // before exit 130.
 //
-// Usage:
-//   bench_serve [options]
-//     --sessions N[,N...]    offered load level(s) (default 8)
-//     --method KEY           controller registry key (default co)
-//     --frame-deadline-ms X  static per-frame budget (default: none)
-//     --capacity N           max active sessions (default 0 = unlimited)
-//     --queue-limit N        arrivals that may wait for a slot before
-//                            shedding starts (default -1 = unbounded)
-//     --warmup-frames N      leading frames per session excluded from the
-//                            latency percentiles (default 1)
-//     --autotune-deadline    tune each session's frame deadline from its
-//                            rolling p99 frame latency
-//     --deadline-min-ms X    tuner clamp floor (default 5)
-//     --deadline-max-ms X    tuner clamp ceiling (default 200)
-//     --deadline-headroom X  tuner target = X * rolling p99 (default 1.5)
-//     --time-limit S         per-episode simulated time limit (default 60)
-//     --difficulty LEVEL     easy|normal|hard (default normal)
-//     --threads N            pool workers (0 = hardware, capped at 16)
-//     --seed S               base seed; session i uses seed+i (default 1000)
-//     --report PATH          write the RunReport JSON artifact
-//     --quick                smoke mode: easy 6 s episodes (4 sessions
-//                            unless --sessions is given)
-//     --batch-inference      batch IL forwards across sessions per tick
-//                            (methods with a policy only; default method
-//                            becomes il when none is given)
-//     --max-batch N          cap one batched forward (default 32)
-//
+// The flags are declared once in main(); a bad argument prints them all.
 // Exit codes: 0 ok, 2 usage error, 3 I/O error, 130 aborted by SIGINT.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
@@ -55,6 +27,7 @@
 
 #include "bench_util.hpp"
 #include "core/controller_registry.hpp"
+#include "driver.hpp"
 #include "mathkit/gemm.hpp"
 #include "mathkit/table.hpp"
 #include "serve/frontend.hpp"
@@ -64,47 +37,11 @@ namespace {
 using namespace icoil;
 
 struct ServeOptions {
-  std::vector<int> session_levels = {8};
-  serve::FrontendConfig frontend;  ///< shared knobs; sessions set per level
-  std::string report_path;
+  std::vector<int> session_levels;  ///< offered load levels, ascending
+  serve::FrontendConfig frontend;   ///< shared knobs; sessions set per level
+  bench::ReportOptions report;
   bool quick = false;
 };
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--sessions N[,N...]] [--method KEY] "
-               "[--frame-deadline-ms X] [--capacity N] [--queue-limit N] "
-               "[--warmup-frames N] [--autotune-deadline] "
-               "[--deadline-min-ms X] [--deadline-max-ms X] "
-               "[--deadline-headroom X] [--time-limit S] "
-               "[--difficulty easy|normal|hard] [--threads N] [--seed S] "
-               "[--report PATH] [--quick] [--batch-inference] [--max-batch N]\n",
-               argv0);
-  return 2;
-}
-
-/// "1,10,100" -> {1, 10, 100}, sorted ascending and deduplicated (the knee
-/// heuristic reads the rows as an offered-load-ascending curve).
-bool parse_session_levels(const char* text, std::vector<int>* out) {
-  out->clear();
-  std::string token;
-  for (const char* p = text;; ++p) {
-    if (*p != ',' && *p != '\0') {
-      token.push_back(*p);
-      continue;
-    }
-    int value = 0;
-    if (token.empty() || !bench::parse_int_arg(token.c_str(), &value) ||
-        value < 1)
-      return false;
-    out->push_back(value);
-    token.clear();
-    if (*p == '\0') break;
-  }
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
-  return !out->empty();
-}
 
 void print_single_run(const serve::FrontendResult& r) {
   const sim::ServeStats& stats = r.stats;
@@ -279,168 +216,101 @@ int run_serve(const ServeOptions& opts) {
   }
 
   // ---- RunReport artifact ----------------------------------------------
-  if (!opts.report_path.empty()) {
-    sim::EvalConfig eval_config;  // provenance fingerprint only
-    eval_config.episodes =
-        levels.empty() ? opts.session_levels.front() : levels.back().offered;
-    eval_config.base_seed = opts.frontend.base_seed;
-    eval_config.sim.frame_deadline_ms = opts.frontend.frame_deadline_ms;
+  sim::EvalConfig eval_config;  // provenance fingerprint only
+  eval_config.episodes =
+      levels.empty() ? opts.session_levels.front() : levels.back().offered;
+  eval_config.base_seed = opts.frontend.base_seed;
+  eval_config.sim.frame_deadline_ms = opts.frontend.frame_deadline_ms;
 
-    sim::RunReport report;
-    report.meta.suite = "serve";
-    report.meta.git_describe = sim::build_git_describe();
-    report.meta.threads = last_workers;
-    report.meta.episodes_per_cell = eval_config.episodes;
-    report.meta.base_seed = opts.frontend.base_seed;
-    report.meta.config_fingerprint = sim::config_fingerprint(eval_config);
-    report.meta.aborted = aborted;
-    if (!levels.empty()) {
-      sim::ServeStats stats = last_stats;
-      if (sweep) {
-        stats.levels = levels;
-        stats.knee_offered = knee_offered;
-      }
-      report.serve = stats;
+  sim::RunReport report;
+  report.meta = bench::report_meta("serve", last_workers, eval_config);
+  report.meta.aborted = aborted;
+  if (!levels.empty()) {
+    sim::ServeStats stats = last_stats;
+    if (sweep) {
+      stats.levels = levels;
+      stats.knee_offered = knee_offered;
     }
-    report.add_cells(cells);
-
-    std::string save_error;
-    if (!report.save(opts.report_path, &save_error)) {
-      std::fprintf(stderr, "bench_serve: %s\n", save_error.c_str());
-      return 3;
-    }
-    std::fprintf(stderr, "[serve] %sreport written to %s\n",
-                 aborted ? "partial (aborted) " : "",
-                 opts.report_path.c_str());
+    report.serve = stats;
   }
-  return aborted ? 130 : 0;
+  report.add_cells(cells);
+  return bench::finish("bench_serve", report, opts.report);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  using bench::above;
+  using bench::at_least;
+
   ServeOptions opts;
-  bool method_given = false;
-  bool sessions_given = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--sessions") {
-      const char* v = next_value();
-      if (v == nullptr || !parse_session_levels(v, &opts.session_levels))
-        return usage(argv[0]);
-      sessions_given = true;
-    } else if (arg == "--method") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.frontend.method = v;
-      method_given = true;
-    } else if (arg == "--frame-deadline-ms") {
-      const char* v = next_value();
-      if (v == nullptr ||
-          !bench::parse_double_arg(v, &opts.frontend.frame_deadline_ms) ||
-          opts.frontend.frame_deadline_ms <= 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--capacity") {
-      const char* v = next_value();
-      if (v == nullptr ||
-          !bench::parse_int_arg(v, &opts.frontend.admission.max_active) ||
-          opts.frontend.admission.max_active < 0)
-        return usage(argv[0]);
-    } else if (arg == "--queue-limit") {
-      const char* v = next_value();
-      if (v == nullptr ||
-          !bench::parse_int_arg(v, &opts.frontend.admission.queue_limit))
-        return usage(argv[0]);
-    } else if (arg == "--warmup-frames") {
-      const char* v = next_value();
-      if (v == nullptr ||
-          !bench::parse_int_arg(v, &opts.frontend.warmup_frames) ||
-          opts.frontend.warmup_frames < 0)
-        return usage(argv[0]);
-    } else if (arg == "--autotune-deadline") {
-      opts.frontend.tuner.enabled = true;
-    } else if (arg == "--deadline-min-ms") {
-      const char* v = next_value();
-      if (v == nullptr ||
-          !bench::parse_double_arg(v, &opts.frontend.tuner.min_ms) ||
-          opts.frontend.tuner.min_ms <= 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--deadline-max-ms") {
-      const char* v = next_value();
-      if (v == nullptr ||
-          !bench::parse_double_arg(v, &opts.frontend.tuner.max_ms) ||
-          opts.frontend.tuner.max_ms <= 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--deadline-headroom") {
-      const char* v = next_value();
-      if (v == nullptr ||
-          !bench::parse_double_arg(v, &opts.frontend.tuner.headroom) ||
-          opts.frontend.tuner.headroom <= 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--time-limit") {
-      const char* v = next_value();
-      if (v == nullptr ||
-          !bench::parse_double_arg(v, &opts.frontend.time_limit) ||
-          opts.frontend.time_limit <= 0.0)
-        return usage(argv[0]);
-    } else if (arg == "--difficulty") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      if (std::strcmp(v, "easy") == 0)
-        opts.frontend.difficulty = world::Difficulty::kEasy;
-      else if (std::strcmp(v, "normal") == 0)
-        opts.frontend.difficulty = world::Difficulty::kNormal;
-      else if (std::strcmp(v, "hard") == 0)
-        opts.frontend.difficulty = world::Difficulty::kHard;
-      else return usage(argv[0]);
-    } else if (arg == "--threads") {
-      const char* v = next_value();
-      if (v == nullptr || !bench::parse_int_arg(v, &opts.frontend.threads) ||
-          opts.frontend.threads < 0)
-        return usage(argv[0]);
-    } else if (arg == "--seed") {
-      const char* v = next_value();
-      char* end = nullptr;
-      if (v == nullptr) return usage(argv[0]);
-      opts.frontend.base_seed = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0') return usage(argv[0]);
-    } else if (arg == "--report") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      opts.report_path = v;
-    } else if (arg == "--quick") {
-      opts.quick = true;
-    } else if (arg == "--batch-inference") {
-      opts.frontend.batch_inference = true;
-    } else if (arg == "--max-batch") {
-      const char* v = next_value();
-      if (v == nullptr || !bench::parse_int_arg(v, &opts.frontend.max_batch) ||
-          opts.frontend.max_batch < 1)
-        return usage(argv[0]);
-    } else {
-      std::fprintf(stderr, "bench_serve: unknown argument \"%s\"\n",
-                   arg.c_str());
-      return usage(argv[0]);
-    }
-  }
+  serve::FrontendConfig& fe = opts.frontend;
+  fe.method.clear();  // resolved below: co, or il for batched inference
+  bench::Flags flags("bench_serve");
+  flags.list("--sessions", &opts.session_levels, "N[,N...]",
+             "offered load level(s); a list sweeps them (default 8)",
+             at_least(1))
+      .value("--method", &fe.method, "KEY",
+             "controller registry key (default co)")
+      .value("--frame-deadline-ms", &fe.frame_deadline_ms, "X",
+             "static per-frame budget [ms] (default: none)", above(0))
+      .value("--capacity", &fe.admission.max_active, "N",
+             "max active sessions (default 0 = unlimited)", at_least(0))
+      .value("--queue-limit", &fe.admission.queue_limit, "N",
+             "arrivals that may wait for a slot before shedding starts "
+             "(default -1 = unbounded)")
+      .value("--warmup-frames", &fe.warmup_frames, "N",
+             "leading frames per session excluded from the latency "
+             "percentiles (default 1)", at_least(0))
+      .flag("--autotune-deadline", &fe.tuner.enabled,
+            "tune each session's frame deadline from its rolling p99 frame "
+            "latency")
+      .value("--deadline-min-ms", &fe.tuner.min_ms, "X",
+             "tuner clamp floor (default 5)", above(0))
+      .value("--deadline-max-ms", &fe.tuner.max_ms, "X",
+             "tuner clamp ceiling (default 200)", above(0))
+      .value("--deadline-headroom", &fe.tuner.headroom, "X",
+             "tuner target = X * rolling p99 (default 1.5)", above(0))
+      .value("--time-limit", &fe.time_limit, "S",
+             "per-episode simulated time limit [s] (default 60)", above(0))
+      .choice("--difficulty", &fe.difficulty, "task level (default normal)",
+              {{"easy", world::Difficulty::kEasy},
+               {"normal", world::Difficulty::kNormal},
+               {"hard", world::Difficulty::kHard}})
+      .value("--threads", &fe.threads, "N",
+             "pool workers (0 = hardware, capped at 16)", at_least(0))
+      .value("--seed", &fe.base_seed, "S",
+             "base seed; session i uses seed+i (default 1000)")
+      .value("--report", &opts.report.path, "PATH",
+             "write the RunReport JSON artifact")
+      .flag("--quick", &opts.quick,
+            "smoke mode: easy 6 s episodes (4 sessions unless --sessions)")
+      .flag("--batch-inference", &fe.batch_inference,
+            "batch IL forwards across sessions per tick (methods with a "
+            "policy only; the default method becomes il)")
+      .value("--max-batch", &fe.max_batch, "N",
+             "cap one batched forward (default 32)", at_least(1));
+  if (const int code = flags.parse(argc, argv); code != bench::Flags::kRun)
+    return code;
+
+  // The knee heuristic reads the rows as an offered-load-ascending curve.
+  std::vector<int>& levels = opts.session_levels;
+  std::sort(levels.begin(), levels.end());
+  levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
+  if (levels.empty()) levels = {opts.quick ? 4 : 8};
 
   if (opts.quick) {
     // Smoke settings: tiny interleaved run that needs no trained policy and
     // finishes in seconds. Explicit flags given alongside --quick still win
     // for method/deadline/sessions, but the episode shape is pinned.
-    if (!sessions_given) opts.session_levels = {4};
-    opts.frontend.difficulty = world::Difficulty::kEasy;
-    opts.frontend.time_limit = 6.0;
+    fe.difficulty = world::Difficulty::kEasy;
+    fe.time_limit = 6.0;
   }
 
   // Batching only applies to policy-backed methods; when the user asked for
   // it without picking one, serve the IL baseline instead of erroring on
   // the (policy-less) co default.
-  if (opts.frontend.batch_inference && !method_given)
-    opts.frontend.method = "il";
+  if (fe.method.empty()) fe.method = fe.batch_inference ? "il" : "co";
 
   bench::install_sigint_handler();
   return run_serve(opts);

@@ -1,23 +1,13 @@
 #pragma once
 
-// Shared helpers for the figure/table harnesses: trained-policy acquisition,
-// episode-count overrides so quick runs are possible via environment
-// variables (ICOIL_EPISODES, ICOIL_EPOCHS, ICOIL_EXPERT_EPISODES), strict
-// CLI number parsing, the SIGINT abort token both drivers share, and the
-// BENCH_JSON hook that appends per-cell aggregates as JSON lines for the
-// perf-trajectory tooling.
+// Shared helpers for the figure/table harnesses: trained-policy acquisition
+// and episode-count overrides so quick runs are possible via environment
+// variables (ICOIL_EPISODES, ICOIL_EPOCHS, ICOIL_EXPERT_EPISODES).
 
-#include <cmath>
-#include <csignal>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <string>
 
-#include "core/cancel_token.hpp"
 #include "sim/evaluator.hpp"
 #include "sim/policy_store.hpp"
-#include "sim/report.hpp"
 
 namespace icoil::bench {
 
@@ -25,67 +15,9 @@ inline int episodes_override(int fallback) {
   return sim::env_int_or("ICOIL_EPISODES", fallback);
 }
 
-/// Strict CLI int parse by the same convention as sim::env_int_or: trailing
-/// junk is an error, not silently ignored (atoi would map "2x" to 2 and
-/// "eight" to 0). Range checks stay at the call site.
-inline bool parse_int_arg(const char* text, int* out) {
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value < -1000000000L ||
-      value > 1000000000L)
-    return false;
-  *out = static_cast<int>(value);
-  return true;
-}
-
-/// Strict CLI double parse. strtod accepts "nan"/"inf"; a NaN tolerance
-/// would make every baseline comparison silently pass, so only finite
-/// values count as parsed. Range checks stay at the call site.
-inline bool parse_double_arg(const char* text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text, &end);
-  return end != text && *end == '\0' && std::isfinite(*out);
-}
-
-/// The process-wide SIGINT abort token shared by the bench drivers. A
-/// signal handler may only touch lock-free atomics; CancelToken::cancel is
-/// one relaxed atomic store, so tripping it from the handler is
-/// async-signal-safe. Everything else (draining workers, writing the
-/// partial report) happens on the normal path once the fan-out observes it.
-inline core::CancelToken& sigint_token() {
-  static core::CancelToken token;
-  return token;
-}
-
-/// Installs the SIGINT -> sigint_token() handler; call once from main.
-inline void install_sigint_handler() {
-  sigint_token();  // construct before the handler can fire
-  std::signal(SIGINT, [](int) { sigint_token().cancel(); });
-}
-
 /// The shared trained policy (cached on disk next to the working directory).
 inline std::unique_ptr<il::IlPolicy> shared_policy() {
   return sim::get_or_train_policy(sim::default_policy_options());
-}
-
-/// Append one per-cell aggregate as a JSON line to the file named by the
-/// BENCH_JSON environment variable; no-op when it is unset. Goes through the
-/// RunReport JSON writer, so user-settable labels (SuiteCell::label) with
-/// quotes or backslashes stay valid JSON.
-inline void append_bench_json(const std::string& bench, const std::string& cell,
-                              const sim::Aggregate& agg) {
-  const char* path = std::getenv("BENCH_JSON");
-  if (path == nullptr || *path == '\0') return;
-  std::ofstream out(path, std::ios::app);
-  if (!out) return;
-  out << sim::aggregate_json_line(bench, cell, agg) << "\n";
-}
-
-/// JSON hook for a whole suite run.
-inline void append_bench_json(const std::string& bench,
-                              const std::vector<sim::SuiteCellResult>& results) {
-  for (const sim::SuiteCellResult& r : results)
-    append_bench_json(bench, r.cell.display_label(), r.aggregate);
 }
 
 }  // namespace icoil::bench

@@ -2,9 +2,8 @@
 
 // The one suite-runner behind `bench_suite` and the thin table2/fig8
 // wrappers: builds the named suite, fans it out per method through
-// sim::Evaluator, prints/saves the aggregate table, appends the BENCH_JSON
-// lines, and optionally writes a sim::RunReport artifact and gates against
-// a committed baseline report.
+// sim::Evaluator, prints/saves the aggregate table, and finishes through
+// the shared driver step (RunReport artifact, baseline gate, exit code).
 
 #include <cstdio>
 #include <iostream>
@@ -14,6 +13,7 @@
 
 #include "bench_util.hpp"
 #include "core/controller_registry.hpp"
+#include "driver.hpp"
 #include "core/task_pool.hpp"
 #include "mathkit/table.hpp"
 #include "sim/evaluator.hpp"
@@ -26,9 +26,8 @@ namespace icoil::bench {
 /// subcommand inside run_suite_command).
 struct RunSuiteOptions {
   int episodes = -1;           ///< -1 = subcommand default (env-overridable)
-  std::string methods;         ///< csv of registry keys; "" = subcommand default
-  std::string report_path;     ///< write a RunReport JSON here when set
-  std::string baseline_path;   ///< compare against this RunReport when set
+  std::vector<std::string> methods;  ///< registry keys; empty = default
+  ReportOptions report;        ///< RunReport artifact + baseline gate
   std::string csv_path;        ///< "" = subcommand default (may be none)
   bool per_episode = false;    ///< include per-episode records in the report
   bool quick = false;          ///< smoke mode: 2 episodes, no training
@@ -45,7 +44,6 @@ struct RunSuiteOptions {
   /// cancels mid-run, evaluation drains promptly and the partial report is
   /// still written, flagged meta.aborted.
   const core::CancelToken* abort = nullptr;
-  sim::BaselineTolerance tolerance;
 };
 
 /// Prints the controller registry (key, label, description) — the
@@ -117,24 +115,17 @@ inline int default_episodes(const std::string& which) {
   return 4;  // zoo
 }
 
-inline std::string default_methods(const std::string& which, bool quick) {
-  if (which == "zoo" || quick) return "co";  // no trained policy needed
-  if (which == "fig8") return "icoil";
-  return "icoil,il,co";  // table2
+inline std::vector<std::string> default_methods(const std::string& which,
+                                                bool quick) {
+  if (which == "zoo" || quick) return {"co"};  // no trained policy needed
+  if (which == "fig8") return {"icoil"};
+  return {"icoil", "il", "co"};  // table2
 }
 
 inline std::string default_csv(const std::string& which) {
   if (which == "table2") return "table2_success.csv";
   if (which == "fig8") return "fig8_sensitivity.csv";
   return "";
-}
-
-/// The historical BENCH_JSON bench identifiers, kept stable so the perf
-/// trajectory spans the pre-bench_suite runs.
-inline std::string bench_json_name(const std::string& which) {
-  if (which == "table2") return "table2_success";
-  if (which == "fig8") return "fig8_sensitivity";
-  return which;
 }
 
 /// The paper context each suite reproduces (printed above the table).
@@ -146,32 +137,11 @@ inline std::string suite_title(const std::string& which) {
   return "Scenario zoo — every registered generator family";
 }
 
-inline std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string item = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace detail
 
-/// Runs one suite subcommand end to end; returns the process exit code
-/// (0 ok, 1 baseline regression, 2 usage error, 3 I/O error).
+/// Runs one suite subcommand (table2 | fig8 | zoo) end to end; returns the
+/// process exit code (see finish() in driver.hpp).
 inline int run_suite_command(const std::string& which, RunSuiteOptions opts) {
-  if (which != "table2" && which != "fig8" && which != "zoo") {
-    std::fprintf(stderr,
-                 "bench_suite: unknown suite \"%s\" (expected table2|fig8|zoo)\n",
-                 which.c_str());
-    return 2;
-  }
-
   if (opts.episodes <= 0)
     opts.episodes =
         opts.quick ? 2 : episodes_override(detail::default_episodes(which));
@@ -214,7 +184,7 @@ inline int run_suite_command(const std::string& which, RunSuiteOptions opts) {
   const auto& registry = core::ControllerRegistry::instance();
   std::unique_ptr<il::IlPolicy> policy;
   std::vector<Method> methods;
-  for (const std::string& m : detail::split_csv(opts.methods)) {
+  for (const std::string& m : opts.methods) {
     const core::ControllerSpec* spec = registry.find(m);
     if (spec == nullptr) {
       std::fprintf(stderr,
@@ -256,13 +226,11 @@ inline int run_suite_command(const std::string& which, RunSuiteOptions opts) {
   sim::Evaluator evaluator(eval_config);
 
   sim::RunReport report;
-  report.meta.suite = which;
-  report.meta.git_describe = sim::build_git_describe();
-  report.meta.threads = evaluator.resolved_workers(
-      opts.episodes * static_cast<int>(suite.cells.size()));
-  report.meta.episodes_per_cell = opts.episodes;
-  report.meta.base_seed = eval_config.base_seed;
-  report.meta.config_fingerprint = sim::config_fingerprint(eval_config);
+  report.meta = report_meta(
+      which,
+      evaluator.resolved_workers(opts.episodes *
+                                 static_cast<int>(suite.cells.size())),
+      eval_config);
 
   const auto aborted = [&] {
     return opts.abort != nullptr && opts.abort->cancelled();
@@ -282,7 +250,6 @@ inline int run_suite_command(const std::string& which, RunSuiteOptions opts) {
 
     const std::vector<sim::SuiteCellResult> results =
         sim::aggregate_suite(detailed, method.name);
-    append_bench_json(detail::bench_json_name(which), results);
     if (opts.per_episode)
       report.add_cells_detailed(results, detailed);
     else
@@ -310,39 +277,7 @@ inline int run_suite_command(const std::string& which, RunSuiteOptions opts) {
   table.print(std::cout);
   if (!opts.csv_path.empty()) table.save_csv(opts.csv_path);
 
-  if (!opts.report_path.empty()) {
-    std::string error;
-    if (!report.save(opts.report_path, &error)) {
-      std::fprintf(stderr, "bench_suite: %s\n", error.c_str());
-      return 3;
-    }
-    std::fprintf(stderr, "[%s] %sreport written to %s\n", which.c_str(),
-                 report.meta.aborted ? "partial (aborted) " : "",
-                 opts.report_path.c_str());
-  }
-
-  if (report.meta.aborted) {
-    // 128 + SIGINT, the conventional "died on ctrl-C" exit — but only after
-    // the partial report hit disk. Baseline gating a partial run would only
-    // produce spurious regressions, so it is skipped.
-    std::fprintf(stderr, "[%s] aborted by cancellation token\n", which.c_str());
-    return 130;
-  }
-
-  if (!opts.baseline_path.empty()) {
-    sim::RunReport baseline;
-    std::string error;
-    if (!sim::RunReport::load(opts.baseline_path, &baseline, &error)) {
-      std::fprintf(stderr, "bench_suite: cannot load baseline: %s\n",
-                   error.c_str());
-      return 3;
-    }
-    const sim::BaselineVerdict verdict =
-        sim::compare_to_baseline(report, baseline, opts.tolerance);
-    std::printf("\n%s\n", verdict.summary().c_str());
-    if (!verdict.ok) return 1;
-  }
-  return 0;
+  return finish("bench_suite", report, opts.report);
 }
 
 }  // namespace icoil::bench

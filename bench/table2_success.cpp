@@ -14,7 +14,6 @@
 //   hard:   iCOIL 25.72/26.70/24.58 92%   | IL 24.12/26.44/23.31 33%
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <vector>
 
@@ -74,7 +73,6 @@ int run_curriculum_compare() {
                        cell.display_label().c_str(), row.name, completed,
                        total);
         }));
-    bench::append_bench_json("table2_curriculum", per_method.back());
   }
 
   math::TextTable table({"cell", "method", "avg [s]", "success", "episodes"});
@@ -100,15 +98,13 @@ int run_curriculum_compare() {
 
 int main(int argc, char** argv) {
   using namespace icoil;
-  if (argc > 1) {
-    if (std::strcmp(argv[1], "--curriculum-compare") == 0)
-      return run_curriculum_compare();
-    std::fprintf(stderr,
-                 "table2_success: unknown argument \"%s\" "
-                 "(usage: table2_success [--curriculum-compare]; see "
-                 "bench_suite table2 for reports/baselines)\n",
-                 argv[1]);
-    return 2;
-  }
+  bool curriculum_compare = false;
+  bench::Flags flags("table2_success");
+  flags.flag("--curriculum-compare", &curriculum_compare,
+             "canonical- vs curriculum-trained iCOIL over the generator "
+             "suite (reports and baselines: bench_suite table2)");
+  if (const int code = flags.parse(argc, argv); code != bench::Flags::kRun)
+    return code;
+  if (curriculum_compare) return run_curriculum_compare();
   return bench::run_suite_command("table2", bench::RunSuiteOptions{});
 }

@@ -22,7 +22,7 @@ struct ControllerBuildArgs {
   const il::IlPolicy* policy = nullptr;  ///< required when spec needs_policy
   const IcoilConfig* icoil = nullptr;    ///< override for iCOIL-family specs
   const co::CoPlannerConfig* co = nullptr;  ///< override for CO-family specs
-  vehicle::VehicleParams vehicle;
+  vehicle::VehicleParams vehicle{};
 };
 
 /// One registered driving method: a stable string key, the label printed in

@@ -268,7 +268,7 @@ LegResult Mission::run_leg(LegType type, int target_bay,
   lr.type = type;
   lr.target_bay = target_bay;
   lr.outcome = session.result().outcome;
-  lr.frames = session.frames();
+  lr.frames = session.frame();
   lr.sim_seconds = session.sim_time();
   lr.wall_seconds = wall_since(wall0);
   lr.min_clearance = session.result().min_clearance;

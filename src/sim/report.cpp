@@ -1,6 +1,7 @@
 #include "sim/report.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -275,156 +276,379 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
-// Tolerant field readers: missing/mistyped keys keep the default, so
-// loading a report written by an older schema fills in zeros.
-double get_number(const JsonValue& obj, const std::string& key,
-                  double fallback = 0.0) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kNumber ? v->number
-                                                             : fallback;
-}
+// ------------------------------------------------------- table-driven codec
+//
+// Each record type has ONE field table: a generic function naming every key
+// once, in document order, with its member, its encoding and its load
+// default. JsonWriter walks a table to serialise a record and JsonReader
+// walks the same table to load one, so a key cannot drift between the two.
+// The encoding follows the member type (int, double, bool, string); a
+// uint64 names its wire form explicitly. Loading is tolerant of missing or
+// mistyped keys (an older schema loads with defaults) and strict about
+// malformed values, future versions and non-object rows.
 
-int get_int(const JsonValue& obj, const std::string& key, int fallback = 0) {
-  return static_cast<int>(
-      std::llround(get_number(obj, key, static_cast<double>(fallback))));
-}
+/// How a uint64 travels: a bare JSON number, a decimal string (exact beyond
+/// 2^53, where a JSON number would round through a double) or 16 hex digits.
+enum class U64 { kNumber, kDecimal, kHex };
 
-std::string get_string(const JsonValue& obj, const std::string& key,
-                       const std::string& fallback = {}) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kString ? v->string
-                                                             : fallback;
-}
+constexpr char kSchemaKey[] = "schema_version";
+constexpr char kVersionKey[] = "version";
+constexpr bool kOmitEmpty = true;
 
-bool get_bool(const JsonValue& obj, const std::string& key,
-              bool fallback = false) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kBool ? v->boolean
-                                                           : fallback;
-}
+class JsonWriter {
+ public:
+  static constexpr bool kReading = false;
 
-std::uint64_t get_hex64(const JsonValue& obj, const std::string& key) {
-  const std::string s = get_string(obj, key);
-  if (s.empty()) return 0;
-  return std::strtoull(s.c_str(), nullptr, 16);
-}
+  explicit JsonWriter(std::string& out) : scope_(out, '{', '}') {}
 
-/// uint64 serialized as a decimal string (exact beyond 2^53); tolerates a
-/// plain JSON number for hand-written documents.
-std::uint64_t get_u64_string(const JsonValue& obj, const std::string& key) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return 0;
-  if (v->kind == JsonValue::Kind::kNumber) {
-    // Negative or > 2^64 doubles would be UB to cast; treat as absent.
-    if (!(v->number >= 0.0) || v->number >= 18446744073709551616.0) return 0;
-    return static_cast<std::uint64_t>(v->number);
+  void operator()(const char* key, int v, int = 0) {
+    scope_.field(key) += std::to_string(v);
   }
-  if (v->kind == JsonValue::Kind::kString)
-    return std::strtoull(v->string.c_str(), nullptr, 10);
-  return 0;
-}
+  void operator()(const char* key, double v, double = 0.0) {
+    scope_.field(key) += fmt_double(v);
+  }
+  void operator()(const char* key, bool v, bool = false) {
+    scope_.field(key) += v ? "true" : "false";
+  }
+  void operator()(const char* key, const std::string& v) {
+    append_string(scope_.field(key), v);
+  }
+  void operator()(const char* key, std::uint64_t v, U64 encoding) {
+    std::string& out = scope_.field(key);
+    if (encoding == U64::kNumber)
+      out += std::to_string(v);
+    else
+      append_string(out, encoding == U64::kHex ? fmt_hex64(v) : std::to_string(v));
+  }
 
-void write_cell(std::string& out, const CellRecord& cell) {
-  JsonScope c(out, '{', '}');
-  append_string(c.field("label"), cell.label);
-  append_string(c.field("method"), cell.method);
-  append_string(c.field("generator"), cell.generator);
-  c.field("episodes") += std::to_string(cell.episodes);
-  c.field("successes") += std::to_string(cell.successes);
-  c.field("collisions") += std::to_string(cell.collisions);
-  c.field("timeouts") += std::to_string(cell.timeouts);
-  c.field("budget_exceeded") += std::to_string(cell.budget_exceeded);
-  c.field("deadline_hits") += std::to_string(cell.deadline_hits);
-  c.field("success_ratio") += fmt_double(cell.success_ratio);
-  c.field("park_time_mean") += fmt_double(cell.park_time_mean);
-  c.field("park_time_min") += fmt_double(cell.park_time_min);
-  c.field("park_time_max") += fmt_double(cell.park_time_max);
-  c.field("park_time_stddev") += fmt_double(cell.park_time_stddev);
-  c.field("il_fraction_mean") += fmt_double(cell.il_fraction_mean);
-  c.field("min_clearance_mean") += fmt_double(cell.min_clearance_mean);
-  if (!cell.episode_records.empty()) {
-    JsonScope eps(c.field("episode_records"), '[', ']');
-    for (const EpisodeRecord& ep : cell.episode_records) {
-      JsonScope e(eps.element(), '{', '}');
-      append_string(e.field("outcome"), ep.outcome);
-      e.field("park_time") += fmt_double(ep.park_time);
-      e.field("min_clearance") += fmt_double(ep.min_clearance);
-      e.field("il_fraction") += fmt_double(ep.il_fraction);
-      e.field("mode_switches") += std::to_string(ep.mode_switches);
-      e.field("deadline_hits") += std::to_string(ep.deadline_hits);
+  void schema(int v) { (*this)(kSchemaKey, v); }
+  /// A block always carries this build's version: the layout written is
+  /// the current one, whatever version the record was loaded from.
+  void version(const char*, int, int current) { (*this)(kVersionKey, current); }
+
+  template <class T, class Fields>
+  bool object(const char* key, const T& v, Fields fields) {
+    JsonWriter nested(scope_.field(key));
+    fields(nested, v);
+    return true;
+  }
+  template <class T, class Fields>
+  bool optional(const char* key, const std::optional<T>& v, Fields fields) {
+    return v.has_value() && object(key, *v, fields);
+  }
+  template <class T, class Fields>
+  bool array(const char* key, const std::vector<T>& v, Fields fields,
+             bool omit_empty = false) {
+    if (omit_empty && v.empty()) return false;
+    JsonScope rows(scope_.field(key), '[', ']');
+    for (const T& row : v) {
+      JsonWriter nested(rows.element());
+      fields(nested, row);
+    }
+    return true;
+  }
+
+ private:
+  JsonScope scope_;
+};
+
+class JsonReader {
+ public:
+  static constexpr bool kReading = true;
+
+  /// `error` collects the first failure; the walk carries on, so callers
+  /// check it once at the end.
+  JsonReader(const JsonValue& obj, std::string& error)
+      : obj_(obj), error_(error) {}
+
+  void operator()(const char* key, int& v, int fallback = 0) {
+    const JsonValue* n = find(key, JsonValue::Kind::kNumber);
+    v = n != nullptr ? static_cast<int>(std::llround(n->number)) : fallback;
+  }
+  void operator()(const char* key, double& v, double fallback = 0.0) {
+    const JsonValue* n = find(key, JsonValue::Kind::kNumber);
+    v = n != nullptr ? n->number : fallback;
+  }
+  void operator()(const char* key, bool& v, bool fallback = false) {
+    const JsonValue* b = find(key, JsonValue::Kind::kBool);
+    v = b != nullptr ? b->boolean : fallback;
+  }
+  void operator()(const char* key, std::string& v) {
+    const JsonValue* s = find(key, JsonValue::Kind::kString);
+    v = s != nullptr ? s->string : std::string();
+  }
+  void operator()(const char* key, std::uint64_t& v, U64 encoding) {
+    v = 0;
+    bool ok = true;
+    if (const JsonValue* s = find(key, JsonValue::Kind::kString))
+      ok = parse_u64(s->string, encoding == U64::kHex ? 16 : 10, &v);
+    else if (const JsonValue* n = find(key, JsonValue::Kind::kNumber);
+             n != nullptr && encoding != U64::kHex)
+      ok = number_to_u64(n->number, &v);
+    if (!ok) fail(std::string("malformed unsigned value for \"") + key + "\"");
+  }
+
+  void schema(int& v) {
+    (*this)(kSchemaKey, v, -1);
+    check_version(kSchemaKey, v, kRunReportSchemaVersion);
+  }
+  void version(const char* block, int& v, int current) {
+    (*this)(kVersionKey, v, 1);
+    check_version(std::string(block) + " block version", v, current);
+  }
+
+  template <class T, class Fields>
+  bool object(const char* key, T& v, Fields fields) {
+    const JsonValue* o = find(key, JsonValue::Kind::kObject);
+    if (o == nullptr) return false;
+    JsonReader nested(*o, error_);
+    fields(nested, v);
+    return true;
+  }
+  template <class T, class Fields>
+  bool optional(const char* key, std::optional<T>& v, Fields fields) {
+    T value;
+    if (!object(key, value, fields)) return false;
+    v = std::move(value);
+    return true;
+  }
+  template <class T, class Fields>
+  bool array(const char* key, std::vector<T>& v, Fields fields, bool = false) {
+    const JsonValue* a = find(key, JsonValue::Kind::kArray);
+    if (a == nullptr) return false;
+    for (const JsonValue& row : a->array) {
+      if (row.kind != JsonValue::Kind::kObject) {
+        fail(std::string(key) + "[] entry is not an object");
+        break;
+      }
+      JsonReader nested(row, error_);
+      fields(nested, v.emplace_back());
+    }
+    return true;
+  }
+
+ private:
+  const JsonValue* find(const char* key, JsonValue::Kind kind) const {
+    const JsonValue* v = obj_.find(key);
+    return v != nullptr && v->kind == kind ? v : nullptr;
+  }
+  void fail(const std::string& why) {
+    if (error_.empty()) error_ = why;
+  }
+  void check_version(const std::string& what, int v, int current) {
+    if (v < 1 || v > current)
+      fail("unsupported " + what + " " + std::to_string(v) +
+           " (this build reads <= " + std::to_string(current) + ")");
+  }
+  /// A JSON number standing in for a uint64: only whole values in range.
+  static bool number_to_u64(double n, std::uint64_t* out) {
+    if (!(n >= 0.0) || n >= 18446744073709551616.0 || n != std::floor(n))
+      return false;
+    *out = static_cast<std::uint64_t>(n);
+    return true;
+  }
+
+  const JsonValue& obj_;
+  std::string& error_;
+};
+
+// ------------------------------------------------------------ field tables
+
+constexpr auto meta_fields = [](auto& io, auto& m) {
+  io("suite", m.suite);
+  io("git_describe", m.git_describe);
+  io("threads", m.threads);
+  io("episodes_per_cell", m.episodes_per_cell);
+  io("base_seed", m.base_seed, U64::kDecimal);
+  io("config_fingerprint", m.config_fingerprint, U64::kHex);
+  io("aborted", m.aborted);
+};
+
+constexpr auto episode_fields = [](auto& io, auto& e) {
+  io("outcome", e.outcome);
+  io("park_time", e.park_time);
+  io("min_clearance", e.min_clearance);
+  io("il_fraction", e.il_fraction);
+  io("mode_switches", e.mode_switches);
+  io("deadline_hits", e.deadline_hits);
+};
+
+constexpr auto cell_fields = [](auto& io, auto& c) {
+  io("label", c.label);
+  io("method", c.method);
+  io("generator", c.generator);
+  io("episodes", c.episodes);
+  io("successes", c.successes);
+  io("collisions", c.collisions);
+  io("timeouts", c.timeouts);
+  io("budget_exceeded", c.budget_exceeded);
+  io("deadline_hits", c.deadline_hits);
+  io("success_ratio", c.success_ratio);
+  io("park_time_mean", c.park_time_mean);
+  io("park_time_min", c.park_time_min);
+  io("park_time_max", c.park_time_max);
+  io("park_time_stddev", c.park_time_stddev);
+  io("il_fraction_mean", c.il_fraction_mean);
+  io("min_clearance_mean", c.min_clearance_mean);
+  io.array("episode_records", c.episode_records, episode_fields, kOmitEmpty);
+};
+
+constexpr auto latency_fields = [](auto& io, auto& s) {
+  io("count", s.count, U64::kNumber);
+  io("mean_ms", s.mean_ms);
+  io("p50_ms", s.p50_ms);
+  io("p90_ms", s.p90_ms);
+  io("p99_ms", s.p99_ms);
+  io("max_ms", s.max_ms);
+};
+
+constexpr auto tuning_fields = [](auto& io, auto& t) {
+  io("min_ms", t.min_ms);
+  io("max_ms", t.max_ms);
+  io("headroom", t.headroom);
+  io("window", t.window);
+  io("deadline_min_ms", t.deadline_min_ms);
+  io("deadline_mean_ms", t.deadline_mean_ms);
+  io("deadline_max_ms", t.deadline_max_ms);
+};
+
+constexpr auto batching_fields = [](auto& io, auto& b) {
+  io("ticks", b.ticks, U64::kNumber);
+  io("requests", b.requests, U64::kNumber);
+  io("batches", b.batches, U64::kNumber);
+  io("max_batch", b.max_batch, U64::kNumber);
+  io("mean_batch", b.mean_batch);
+  io("gather_seconds", b.gather_seconds);
+  io("forward_seconds", b.forward_seconds);
+  io("scatter_seconds", b.scatter_seconds);
+};
+
+constexpr auto level_fields = [](auto& io, auto& l) {
+  io("offered", l.offered);
+  io("admitted", l.admitted);
+  io("shed", l.shed);
+  io("frames", l.frames, U64::kNumber);
+  io("wall_seconds", l.wall_seconds);
+  io("frames_per_second", l.frames_per_second);
+  io("frame_p50_ms", l.frame_p50_ms);
+  io("frame_p99_ms", l.frame_p99_ms);
+  io("queue_p99_ms", l.queue_p99_ms);
+  io("deadline_hits", l.deadline_hits);
+  io("knee", l.knee);
+};
+
+constexpr auto serve_fields = [](auto& io, auto& s) {
+  io.version("serve", s.version, kServeStatsVersion);
+  io("method", s.method);
+  io("sessions", s.sessions);
+  io("threads", s.threads);
+  // Admission counters arrived in v2; a v1 block admitted everything.
+  io("offered", s.offered, s.sessions);
+  io("admitted", s.admitted, s.sessions);
+  io("queued", s.queued);
+  io("shed", s.shed);
+  io("frames", s.frames, U64::kNumber);
+  io("wall_seconds", s.wall_seconds);
+  io("frames_per_second", s.frames_per_second);
+  const bool has_frame = io.object("frame", s.frame, latency_fields);
+  if constexpr (std::remove_reference_t<decltype(io)>::kReading) {
+    if (!has_frame) {
+      // v1 fallback: flat frame_p50_ms/p99/max scalars, every served frame
+      // counted (v1 had no warmup split).
+      s.frame.count = s.frames;
+      io("frame_p50_ms", s.frame.p50_ms);
+      io("frame_p99_ms", s.frame.p99_ms);
+      io("frame_max_ms", s.frame.max_ms);
     }
   }
-}
+  io.object("queue", s.queue, latency_fields);
+  io.object("warmup", s.warmup, latency_fields);
+  io("warmup_frames_per_session", s.warmup_frames_per_session);
+  io("frame_deadline_ms", s.frame_deadline_ms);
+  io("deadline_hits", s.deadline_hits);
+  io.optional("tuning", s.tuning, tuning_fields);
+  if (io.array("levels", s.levels, level_fields, kOmitEmpty))
+    io("knee_offered", s.knee_offered);
+  io.optional("batching", s.batching, batching_fields);
+};
 
-CellRecord read_cell(const JsonValue& v) {
-  CellRecord cell;
-  cell.label = get_string(v, "label");
-  cell.method = get_string(v, "method");
-  cell.generator = get_string(v, "generator");
-  cell.episodes = get_int(v, "episodes");
-  cell.successes = get_int(v, "successes");
-  cell.collisions = get_int(v, "collisions");
-  cell.timeouts = get_int(v, "timeouts");
-  cell.budget_exceeded = get_int(v, "budget_exceeded");
-  cell.deadline_hits = get_int(v, "deadline_hits");
-  cell.success_ratio = get_number(v, "success_ratio");
-  cell.park_time_mean = get_number(v, "park_time_mean");
-  cell.park_time_min = get_number(v, "park_time_min");
-  cell.park_time_max = get_number(v, "park_time_max");
-  cell.park_time_stddev = get_number(v, "park_time_stddev");
-  cell.il_fraction_mean = get_number(v, "il_fraction_mean");
-  cell.min_clearance_mean = get_number(v, "min_clearance_mean");
-  if (const JsonValue* eps = v.find("episode_records");
-      eps != nullptr && eps->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& e : eps->array) {
-      EpisodeRecord ep;
-      ep.outcome = get_string(e, "outcome");
-      ep.park_time = get_number(e, "park_time");
-      ep.min_clearance = get_number(e, "min_clearance");
-      ep.il_fraction = get_number(e, "il_fraction");
-      ep.mode_switches = get_int(e, "mode_switches");
-      ep.deadline_hits = get_int(e, "deadline_hits");
-      cell.episode_records.push_back(std::move(ep));
-    }
-  }
-  return cell;
-}
+constexpr auto density_row_fields = [](auto& io, auto& r) {
+  io("density", r.density, 1.0);
+  io("obstacles", r.obstacles);
+  io("analytic_qps", r.analytic_qps);
+  io("grid_qps", r.grid_qps);
+  io("speedup", r.speedup);
+  io("analytic_episode_seconds", r.analytic_episode_seconds);
+  io("grid_episode_seconds", r.grid_episode_seconds);
+  io("clearance_err_mean", r.clearance_err_mean);
+  io("clearance_err_max", r.clearance_err_max);
+  io("episodes", r.episodes);
+  io("verdicts_match", r.verdicts_match, true);
+};
 
-void write_latency_summary(std::string& out, const core::LatencySummary& s) {
-  JsonScope o(out, '{', '}');
-  o.field("count") += std::to_string(s.count);
-  o.field("mean_ms") += fmt_double(s.mean_ms);
-  o.field("p50_ms") += fmt_double(s.p50_ms);
-  o.field("p90_ms") += fmt_double(s.p90_ms);
-  o.field("p99_ms") += fmt_double(s.p99_ms);
-  o.field("max_ms") += fmt_double(s.max_ms);
-}
+constexpr auto collision_fields = [](auto& io, auto& c) {
+  io.version("collision", c.version, kCollisionStatsVersion);
+  io("generator", c.generator);
+  io("grid_resolution", c.grid_resolution);
+  io.array("rows", c.rows, density_row_fields);
+};
 
-void write_load_level(std::string& out, const ServeLoadLevel& level) {
-  JsonScope l(out, '{', '}');
-  l.field("offered") += std::to_string(level.offered);
-  l.field("admitted") += std::to_string(level.admitted);
-  l.field("shed") += std::to_string(level.shed);
-  l.field("frames") += std::to_string(level.frames);
-  l.field("wall_seconds") += fmt_double(level.wall_seconds);
-  l.field("frames_per_second") += fmt_double(level.frames_per_second);
-  l.field("frame_p50_ms") += fmt_double(level.frame_p50_ms);
-  l.field("frame_p99_ms") += fmt_double(level.frame_p99_ms);
-  l.field("queue_p99_ms") += fmt_double(level.queue_p99_ms);
-  l.field("deadline_hits") += std::to_string(level.deadline_hits);
-  l.field("knee") += level.knee ? "true" : "false";
-}
+constexpr auto mission_row_fields = [](auto& io, auto& r) {
+  io("mission", r.mission);
+  io("method", r.method);
+  io("missions", r.missions);
+  io("succeeded", r.succeeded);
+  io("success_ratio", r.success_ratio);
+  io("legs", r.legs);
+  io("legs_per_mission", r.legs_per_mission);
+  io("replans", r.replans);
+  io("replans_per_mission", r.replans_per_mission);
+  io("collisions", r.collisions);
+  io("timeouts", r.timeouts);
+  io("park_time_p50", r.park_time_p50);
+  io("park_time_p95", r.park_time_p95);
+  io("exit_time_p50", r.exit_time_p50);
+  io("exit_time_p95", r.exit_time_p95);
+  io("wall_seconds_mean", r.wall_seconds_mean);
+  io("spec_fingerprint", r.spec_fingerprint, U64::kHex);
+  io("result_fingerprint", r.result_fingerprint, U64::kHex);
+};
 
-core::LatencySummary read_latency_summary(const JsonValue& v) {
-  core::LatencySummary s;
-  s.count = get_u64_string(v, "count");
-  s.mean_ms = get_number(v, "mean_ms");
-  s.p50_ms = get_number(v, "p50_ms");
-  s.p90_ms = get_number(v, "p90_ms");
-  s.p99_ms = get_number(v, "p99_ms");
-  s.max_ms = get_number(v, "max_ms");
-  return s;
-}
+constexpr auto mission_fields = [](auto& io, auto& m) {
+  io.version("mission", m.version, kMissionStatsVersion);
+  io.array("rows", m.rows, mission_row_fields);
+};
+
+constexpr auto planner_row_fields = [](auto& io, auto& r) {
+  io("generator", r.generator);
+  io("density", r.density, 1.0);
+  io("heuristic", r.heuristic);
+  io("plans", r.plans);
+  io("solved", r.solved);
+  io("plan_ms_mean", r.plan_ms_mean);
+  io("plan_ms_max", r.plan_ms_max);
+  io("expansions_mean", r.expansions_mean);
+  io("rs_shots_mean", r.rs_shots_mean);
+  io("path_cost_mean", r.path_cost_mean);
+  io("speedup", r.speedup);
+  io("deadline_ms", r.deadline_ms);
+  io("deadline_hits", r.deadline_hits);
+};
+
+constexpr auto planner_fields = [](auto& io, auto& p) {
+  io.version("planner", p.version, kPlannerStatsVersion);
+  io.array("rows", p.rows, planner_row_fields);
+};
+
+constexpr auto report_fields = [](auto& io, auto& r) {
+  io.schema(r.meta.schema_version);
+  io.object("meta", r.meta, meta_fields);
+  io.array("cells", r.cells, cell_fields);
+  io.optional("serve", r.serve, serve_fields);
+  io.optional("collision", r.collision, collision_fields);
+  io.optional("mission", r.mission, mission_fields);
+  io.optional("planner", r.planner, planner_fields);
+};
 
 CellRecord cell_from_aggregate(const SuiteCell& cell, const Aggregate& agg) {
   CellRecord rec;
@@ -497,6 +721,19 @@ std::uint64_t config_fingerprint(const EvalConfig& config) {
 
 std::string build_git_describe() { return ICOIL_GIT_DESCRIBE; }
 
+bool parse_u64(const std::string& text, int base, std::uint64_t* out) {
+  if (text.empty()) return false;
+  for (const char c : text)
+    if (!(base == 16 ? std::isxdigit(static_cast<unsigned char>(c))
+                     : std::isdigit(static_cast<unsigned char>(c))))
+      return false;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), nullptr, base);
+  if (errno == ERANGE) return false;
+  *out = value;
+  return true;
+}
+
 void RunReport::add_cells(const std::vector<SuiteCellResult>& results) {
   for (const SuiteCellResult& r : results)
     cells.push_back(cell_from_aggregate(r.cell, r.aggregate));
@@ -531,148 +768,8 @@ void RunReport::add_cells_detailed(
 std::string RunReport::to_json() const {
   std::string out;
   {
-    JsonScope doc(out, '{', '}');
-    doc.field("schema_version") += std::to_string(meta.schema_version);
-    {
-      JsonScope m(doc.field("meta"), '{', '}');
-      append_string(m.field("suite"), meta.suite);
-      append_string(m.field("git_describe"), meta.git_describe);
-      m.field("threads") += std::to_string(meta.threads);
-      m.field("episodes_per_cell") += std::to_string(meta.episodes_per_cell);
-      // uint64 values travel as strings: a JSON number is a double on load
-      // and would corrupt seeds >= 2^53.
-      append_string(m.field("base_seed"), std::to_string(meta.base_seed));
-      append_string(m.field("config_fingerprint"),
-                    fmt_hex64(meta.config_fingerprint));
-      m.field("aborted") += meta.aborted ? "true" : "false";
-    }
-    {
-      JsonScope cs(doc.field("cells"), '[', ']');
-      for (const CellRecord& cell : cells) write_cell(cs.element(), cell);
-    }
-    if (serve.has_value()) {
-      JsonScope s(doc.field("serve"), '{', '}');
-      s.field("version") += std::to_string(kServeStatsVersion);
-      append_string(s.field("method"), serve->method);
-      s.field("sessions") += std::to_string(serve->sessions);
-      s.field("threads") += std::to_string(serve->threads);
-      s.field("offered") += std::to_string(serve->offered);
-      s.field("admitted") += std::to_string(serve->admitted);
-      s.field("queued") += std::to_string(serve->queued);
-      s.field("shed") += std::to_string(serve->shed);
-      s.field("frames") += std::to_string(serve->frames);
-      s.field("wall_seconds") += fmt_double(serve->wall_seconds);
-      s.field("frames_per_second") += fmt_double(serve->frames_per_second);
-      write_latency_summary(s.field("frame"), serve->frame);
-      write_latency_summary(s.field("queue"), serve->queue);
-      write_latency_summary(s.field("warmup"), serve->warmup);
-      s.field("warmup_frames_per_session") +=
-          std::to_string(serve->warmup_frames_per_session);
-      s.field("frame_deadline_ms") += fmt_double(serve->frame_deadline_ms);
-      s.field("deadline_hits") += std::to_string(serve->deadline_hits);
-      if (serve->tuning.has_value()) {
-        const ServeStats::Tuning& t = *serve->tuning;
-        JsonScope ts(s.field("tuning"), '{', '}');
-        ts.field("min_ms") += fmt_double(t.min_ms);
-        ts.field("max_ms") += fmt_double(t.max_ms);
-        ts.field("headroom") += fmt_double(t.headroom);
-        ts.field("window") += std::to_string(t.window);
-        ts.field("deadline_min_ms") += fmt_double(t.deadline_min_ms);
-        ts.field("deadline_mean_ms") += fmt_double(t.deadline_mean_ms);
-        ts.field("deadline_max_ms") += fmt_double(t.deadline_max_ms);
-      }
-      if (!serve->levels.empty()) {
-        {
-          JsonScope ls(s.field("levels"), '[', ']');
-          for (const ServeLoadLevel& level : serve->levels)
-            write_load_level(ls.element(), level);
-        }
-        s.field("knee_offered") += std::to_string(serve->knee_offered);
-      }
-      if (serve->batching.has_value()) {
-        const ServeStats::Batching& b = *serve->batching;
-        JsonScope bs(s.field("batching"), '{', '}');
-        bs.field("ticks") += std::to_string(b.ticks);
-        bs.field("requests") += std::to_string(b.requests);
-        bs.field("batches") += std::to_string(b.batches);
-        bs.field("max_batch") += std::to_string(b.max_batch);
-        bs.field("mean_batch") += fmt_double(b.mean_batch);
-        bs.field("gather_seconds") += fmt_double(b.gather_seconds);
-        bs.field("forward_seconds") += fmt_double(b.forward_seconds);
-        bs.field("scatter_seconds") += fmt_double(b.scatter_seconds);
-      }
-    }
-    if (collision.has_value()) {
-      JsonScope col(doc.field("collision"), '{', '}');
-      col.field("version") += std::to_string(kCollisionStatsVersion);
-      append_string(col.field("generator"), collision->generator);
-      col.field("grid_resolution") += fmt_double(collision->grid_resolution);
-      JsonScope rows(col.field("rows"), '[', ']');
-      for (const CollisionDensityRow& r : collision->rows) {
-        JsonScope row(rows.element(), '{', '}');
-        row.field("density") += fmt_double(r.density);
-        row.field("obstacles") += std::to_string(r.obstacles);
-        row.field("analytic_qps") += fmt_double(r.analytic_qps);
-        row.field("grid_qps") += fmt_double(r.grid_qps);
-        row.field("speedup") += fmt_double(r.speedup);
-        row.field("analytic_episode_seconds") +=
-            fmt_double(r.analytic_episode_seconds);
-        row.field("grid_episode_seconds") += fmt_double(r.grid_episode_seconds);
-        row.field("clearance_err_mean") += fmt_double(r.clearance_err_mean);
-        row.field("clearance_err_max") += fmt_double(r.clearance_err_max);
-        row.field("episodes") += std::to_string(r.episodes);
-        row.field("verdicts_match") += r.verdicts_match ? "true" : "false";
-      }
-    }
-    if (mission.has_value()) {
-      JsonScope ms(doc.field("mission"), '{', '}');
-      ms.field("version") += std::to_string(kMissionStatsVersion);
-      JsonScope rows(ms.field("rows"), '[', ']');
-      for (const MissionTemplateRow& r : mission->rows) {
-        JsonScope row(rows.element(), '{', '}');
-        append_string(row.field("mission"), r.mission);
-        append_string(row.field("method"), r.method);
-        row.field("missions") += std::to_string(r.missions);
-        row.field("succeeded") += std::to_string(r.succeeded);
-        row.field("success_ratio") += fmt_double(r.success_ratio);
-        row.field("legs") += std::to_string(r.legs);
-        row.field("legs_per_mission") += fmt_double(r.legs_per_mission);
-        row.field("replans") += std::to_string(r.replans);
-        row.field("replans_per_mission") += fmt_double(r.replans_per_mission);
-        row.field("collisions") += std::to_string(r.collisions);
-        row.field("timeouts") += std::to_string(r.timeouts);
-        row.field("park_time_p50") += fmt_double(r.park_time_p50);
-        row.field("park_time_p95") += fmt_double(r.park_time_p95);
-        row.field("exit_time_p50") += fmt_double(r.exit_time_p50);
-        row.field("exit_time_p95") += fmt_double(r.exit_time_p95);
-        row.field("wall_seconds_mean") += fmt_double(r.wall_seconds_mean);
-        append_string(row.field("spec_fingerprint"),
-                      fmt_hex64(r.spec_fingerprint));
-        append_string(row.field("result_fingerprint"),
-                      fmt_hex64(r.result_fingerprint));
-      }
-    }
-    if (planner.has_value()) {
-      JsonScope pl(doc.field("planner"), '{', '}');
-      pl.field("version") += std::to_string(kPlannerStatsVersion);
-      JsonScope rows(pl.field("rows"), '[', ']');
-      for (const PlannerFamilyRow& r : planner->rows) {
-        JsonScope row(rows.element(), '{', '}');
-        append_string(row.field("generator"), r.generator);
-        row.field("density") += fmt_double(r.density);
-        append_string(row.field("heuristic"), r.heuristic);
-        row.field("plans") += std::to_string(r.plans);
-        row.field("solved") += std::to_string(r.solved);
-        row.field("plan_ms_mean") += fmt_double(r.plan_ms_mean);
-        row.field("plan_ms_max") += fmt_double(r.plan_ms_max);
-        row.field("expansions_mean") += fmt_double(r.expansions_mean);
-        row.field("rs_shots_mean") += fmt_double(r.rs_shots_mean);
-        row.field("path_cost_mean") += fmt_double(r.path_cost_mean);
-        row.field("speedup") += fmt_double(r.speedup);
-        row.field("deadline_ms") += fmt_double(r.deadline_ms);
-        row.field("deadline_hits") += std::to_string(r.deadline_hits);
-      }
-    }
+    JsonWriter doc(out);
+    report_fields(doc, *this);
   }
   out.push_back('\n');
   return out;
@@ -702,204 +799,12 @@ bool RunReport::parse(const std::string& json, RunReport* out,
     return false;
   }
   RunReport report;
-  report.meta.schema_version = get_int(root, "schema_version", -1);
-  if (report.meta.schema_version < 1 ||
-      report.meta.schema_version > kRunReportSchemaVersion) {
-    if (error)
-      *error = "unsupported schema_version " +
-               std::to_string(report.meta.schema_version) + " (this build reads <= " +
-               std::to_string(kRunReportSchemaVersion) + ")";
+  std::string why;
+  JsonReader doc(root, why);
+  report_fields(doc, report);
+  if (!why.empty()) {
+    if (error) *error = why;
     return false;
-  }
-  if (const JsonValue* m = root.find("meta");
-      m != nullptr && m->kind == JsonValue::Kind::kObject) {
-    report.meta.suite = get_string(*m, "suite");
-    report.meta.git_describe = get_string(*m, "git_describe");
-    report.meta.threads = get_int(*m, "threads");
-    report.meta.episodes_per_cell = get_int(*m, "episodes_per_cell");
-    report.meta.base_seed = get_u64_string(*m, "base_seed");
-    report.meta.config_fingerprint = get_hex64(*m, "config_fingerprint");
-    report.meta.aborted = get_bool(*m, "aborted");
-  }
-  if (const JsonValue* s = root.find("serve");
-      s != nullptr && s->kind == JsonValue::Kind::kObject) {
-    ServeStats stats;
-    stats.version = get_int(*s, "version", 1);
-    stats.method = get_string(*s, "method");
-    stats.sessions = get_int(*s, "sessions");
-    stats.threads = get_int(*s, "threads");
-    stats.frames = get_u64_string(*s, "frames");
-    stats.wall_seconds = get_number(*s, "wall_seconds");
-    stats.frames_per_second = get_number(*s, "frames_per_second");
-    // Admission counters arrived in v2; a v1 block admitted everything.
-    stats.offered = get_int(*s, "offered", stats.sessions);
-    stats.admitted = get_int(*s, "admitted", stats.sessions);
-    stats.queued = get_int(*s, "queued");
-    stats.shed = get_int(*s, "shed");
-    if (const JsonValue* f = s->find("frame");
-        f != nullptr && f->kind == JsonValue::Kind::kObject) {
-      stats.frame = read_latency_summary(*f);
-    } else {
-      // v1 fallback: flat frame_p50_ms/p99/max scalars, every served frame
-      // counted (v1 had no warmup split).
-      stats.frame.count = stats.frames;
-      stats.frame.p50_ms = get_number(*s, "frame_p50_ms");
-      stats.frame.p99_ms = get_number(*s, "frame_p99_ms");
-      stats.frame.max_ms = get_number(*s, "frame_max_ms");
-    }
-    if (const JsonValue* q = s->find("queue");
-        q != nullptr && q->kind == JsonValue::Kind::kObject)
-      stats.queue = read_latency_summary(*q);
-    if (const JsonValue* w = s->find("warmup");
-        w != nullptr && w->kind == JsonValue::Kind::kObject)
-      stats.warmup = read_latency_summary(*w);
-    stats.warmup_frames_per_session =
-        get_int(*s, "warmup_frames_per_session");
-    stats.frame_deadline_ms = get_number(*s, "frame_deadline_ms");
-    stats.deadline_hits = get_int(*s, "deadline_hits");
-    if (const JsonValue* t = s->find("tuning");
-        t != nullptr && t->kind == JsonValue::Kind::kObject) {
-      ServeStats::Tuning tuning;
-      tuning.min_ms = get_number(*t, "min_ms");
-      tuning.max_ms = get_number(*t, "max_ms");
-      tuning.headroom = get_number(*t, "headroom");
-      tuning.window = get_int(*t, "window");
-      tuning.deadline_min_ms = get_number(*t, "deadline_min_ms");
-      tuning.deadline_mean_ms = get_number(*t, "deadline_mean_ms");
-      tuning.deadline_max_ms = get_number(*t, "deadline_max_ms");
-      stats.tuning = tuning;
-    }
-    if (const JsonValue* ls = s->find("levels");
-        ls != nullptr && ls->kind == JsonValue::Kind::kArray) {
-      for (const JsonValue& l : ls->array) {
-        if (l.kind != JsonValue::Kind::kObject) continue;
-        ServeLoadLevel level;
-        level.offered = get_int(l, "offered");
-        level.admitted = get_int(l, "admitted");
-        level.shed = get_int(l, "shed");
-        level.frames = get_u64_string(l, "frames");
-        level.wall_seconds = get_number(l, "wall_seconds");
-        level.frames_per_second = get_number(l, "frames_per_second");
-        level.frame_p50_ms = get_number(l, "frame_p50_ms");
-        level.frame_p99_ms = get_number(l, "frame_p99_ms");
-        level.queue_p99_ms = get_number(l, "queue_p99_ms");
-        level.deadline_hits = get_int(l, "deadline_hits");
-        level.knee = get_bool(l, "knee");
-        stats.levels.push_back(level);
-      }
-      stats.knee_offered = get_int(*s, "knee_offered");
-    }
-    if (const JsonValue* b = s->find("batching");
-        b != nullptr && b->kind == JsonValue::Kind::kObject) {
-      ServeStats::Batching batching;
-      batching.ticks = get_u64_string(*b, "ticks");
-      batching.requests = get_u64_string(*b, "requests");
-      batching.batches = get_u64_string(*b, "batches");
-      batching.max_batch = get_u64_string(*b, "max_batch");
-      batching.mean_batch = get_number(*b, "mean_batch");
-      batching.gather_seconds = get_number(*b, "gather_seconds");
-      batching.forward_seconds = get_number(*b, "forward_seconds");
-      batching.scatter_seconds = get_number(*b, "scatter_seconds");
-      stats.batching = batching;
-    }
-    report.serve = stats;
-  }
-  if (const JsonValue* col = root.find("collision");
-      col != nullptr && col->kind == JsonValue::Kind::kObject) {
-    CollisionStats stats;
-    stats.version = get_int(*col, "version", 1);
-    stats.generator = get_string(*col, "generator");
-    stats.grid_resolution = get_number(*col, "grid_resolution");
-    if (const JsonValue* rows = col->find("rows");
-        rows != nullptr && rows->kind == JsonValue::Kind::kArray) {
-      for (const JsonValue& r : rows->array) {
-        if (r.kind != JsonValue::Kind::kObject) continue;
-        CollisionDensityRow row;
-        row.density = get_number(r, "density", 1.0);
-        row.obstacles = get_int(r, "obstacles");
-        row.analytic_qps = get_number(r, "analytic_qps");
-        row.grid_qps = get_number(r, "grid_qps");
-        row.speedup = get_number(r, "speedup");
-        row.analytic_episode_seconds =
-            get_number(r, "analytic_episode_seconds");
-        row.grid_episode_seconds = get_number(r, "grid_episode_seconds");
-        row.clearance_err_mean = get_number(r, "clearance_err_mean");
-        row.clearance_err_max = get_number(r, "clearance_err_max");
-        row.episodes = get_int(r, "episodes");
-        row.verdicts_match = get_bool(r, "verdicts_match", true);
-        stats.rows.push_back(row);
-      }
-    }
-    report.collision = stats;
-  }
-  if (const JsonValue* ms = root.find("mission");
-      ms != nullptr && ms->kind == JsonValue::Kind::kObject) {
-    MissionStats stats;
-    stats.version = get_int(*ms, "version", 1);
-    if (const JsonValue* rows = ms->find("rows");
-        rows != nullptr && rows->kind == JsonValue::Kind::kArray) {
-      for (const JsonValue& r : rows->array) {
-        if (r.kind != JsonValue::Kind::kObject) continue;
-        MissionTemplateRow row;
-        row.mission = get_string(r, "mission");
-        row.method = get_string(r, "method");
-        row.missions = get_int(r, "missions");
-        row.succeeded = get_int(r, "succeeded");
-        row.success_ratio = get_number(r, "success_ratio");
-        row.legs = get_int(r, "legs");
-        row.legs_per_mission = get_number(r, "legs_per_mission");
-        row.replans = get_int(r, "replans");
-        row.replans_per_mission = get_number(r, "replans_per_mission");
-        row.collisions = get_int(r, "collisions");
-        row.timeouts = get_int(r, "timeouts");
-        row.park_time_p50 = get_number(r, "park_time_p50");
-        row.park_time_p95 = get_number(r, "park_time_p95");
-        row.exit_time_p50 = get_number(r, "exit_time_p50");
-        row.exit_time_p95 = get_number(r, "exit_time_p95");
-        row.wall_seconds_mean = get_number(r, "wall_seconds_mean");
-        row.spec_fingerprint = get_hex64(r, "spec_fingerprint");
-        row.result_fingerprint = get_hex64(r, "result_fingerprint");
-        stats.rows.push_back(row);
-      }
-    }
-    report.mission = stats;
-  }
-  if (const JsonValue* pl = root.find("planner");
-      pl != nullptr && pl->kind == JsonValue::Kind::kObject) {
-    PlannerStats stats;
-    stats.version = get_int(*pl, "version", 1);
-    if (const JsonValue* rows = pl->find("rows");
-        rows != nullptr && rows->kind == JsonValue::Kind::kArray) {
-      for (const JsonValue& r : rows->array) {
-        if (r.kind != JsonValue::Kind::kObject) continue;
-        PlannerFamilyRow row;
-        row.generator = get_string(r, "generator");
-        row.density = get_number(r, "density", 1.0);
-        row.heuristic = get_string(r, "heuristic");
-        row.plans = get_int(r, "plans");
-        row.solved = get_int(r, "solved");
-        row.plan_ms_mean = get_number(r, "plan_ms_mean");
-        row.plan_ms_max = get_number(r, "plan_ms_max");
-        row.expansions_mean = get_number(r, "expansions_mean");
-        row.rs_shots_mean = get_number(r, "rs_shots_mean");
-        row.path_cost_mean = get_number(r, "path_cost_mean");
-        row.speedup = get_number(r, "speedup");
-        row.deadline_ms = get_number(r, "deadline_ms");
-        row.deadline_hits = get_int(r, "deadline_hits");
-        stats.rows.push_back(row);
-      }
-    }
-    report.planner = stats;
-  }
-  if (const JsonValue* cs = root.find("cells");
-      cs != nullptr && cs->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& c : cs->array) {
-      if (c.kind != JsonValue::Kind::kObject) {
-        if (error) *error = "cells[] entry is not an object";
-        return false;
-      }
-      report.cells.push_back(read_cell(c));
-    }
   }
   *out = std::move(report);
   return true;
@@ -915,29 +820,6 @@ bool RunReport::load(const std::string& path, RunReport* out,
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return parse(buffer.str(), out, error);
-}
-
-std::string aggregate_json_line(const std::string& bench,
-                                const std::string& cell,
-                                const Aggregate& agg) {
-  std::string out;
-  JsonScope line(out, '{', '}');
-  append_string(line.field("bench"), bench);
-  append_string(line.field("cell"), cell);
-  append_string(line.field("method"), agg.method);
-  line.field("episodes") += std::to_string(agg.episodes);
-  line.field("successes") += std::to_string(agg.successes);
-  line.field("collisions") += std::to_string(agg.collisions);
-  line.field("timeouts") += std::to_string(agg.timeouts);
-  line.field("budget_exceeded") += std::to_string(agg.budget_exceeded);
-  line.field("deadline_hits") += std::to_string(agg.deadline_hits);
-  line.field("success_ratio") += fmt_double(agg.success_ratio());
-  line.field("park_time_mean") += fmt_double(agg.park_time.mean());
-  line.field("park_time_min") += fmt_double(agg.park_time.min());
-  line.field("park_time_max") += fmt_double(agg.park_time.max());
-  line.field("il_fraction_mean") += fmt_double(agg.il_fraction.mean());
-  line.field("min_clearance_mean") += fmt_double(agg.min_clearance.mean());
-  return out;
 }
 
 std::string BaselineVerdict::summary() const {

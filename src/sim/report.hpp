@@ -27,6 +27,11 @@ std::string json_escape(const std::string& s);
 /// their fingerprints match.
 std::uint64_t config_fingerprint(const EvalConfig& config);
 
+/// Strict unsigned parse of outside input (report fields, CLI flags): one or
+/// more digits of `base` (10 or 16) and nothing else — no sign, whitespace,
+/// prefix or trailing junk — and no overflow. `out` is untouched on failure.
+bool parse_u64(const std::string& text, int base, std::uint64_t* out);
+
 /// The git description of the build ("v1.2-3-gabcdef" / "abcdef-dirty"),
 /// stamped at configure time; "unknown" outside a git checkout.
 std::string build_git_describe();
@@ -255,7 +260,10 @@ struct PlannerStats {
 /// metadata plus per-(cell, method) aggregates, optional per-episode
 /// records, and (for serving runs) the ServeStats block. Writer AND loader
 /// live here so a committed reference report can gate CI (see
-/// compare_to_baseline).
+/// compare_to_baseline). Both walk one field table per record type in
+/// report.cpp, so a new field is one line there. Loading rejects malformed
+/// unsigned values, block versions newer than this build and non-object
+/// rows; missing keys load as defaults.
 struct RunReport {
   RunReportMeta meta;
   std::vector<CellRecord> cells;
@@ -281,11 +289,6 @@ struct RunReport {
   static bool load(const std::string& path, RunReport* out,
                    std::string* error = nullptr);
 };
-
-/// One per-cell JSON line for the BENCH_JSON append hook (same writer and
-/// escaping as RunReport, no trailing newline).
-std::string aggregate_json_line(const std::string& bench,
-                                const std::string& cell, const Aggregate& agg);
 
 /// What compare_to_baseline tolerates before calling a change a regression.
 struct BaselineTolerance {

@@ -98,11 +98,8 @@ class Session {
   /// the running partial tallies with a kTimeout placeholder outcome).
   const EpisodeResult& result() const { return result_; }
 
-  /// Frames stepped so far / the simulated clock they add up to. frames()
-  /// is frame() under its aggregate-count name — callers tallying per-leg
-  /// totals read better with it.
+  /// Frames stepped so far / the simulated clock they add up to.
   std::size_t frame() const { return frame_; }
-  std::size_t frames() const { return frame_; }
   double sim_time() const { return static_cast<double>(frame_) * config_.dt; }
 
   /// Replaces the per-frame wall-clock budget applied to FUTURE frames —

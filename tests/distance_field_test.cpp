@@ -119,9 +119,9 @@ vehicle::State state_at(double x, double y, double heading) {
 /// implies the analytic narrow phase agrees.
 TEST(DistanceFieldTest, ConservativeAgainstAnalyticAcrossGenerators) {
   const vehicle::BicycleModel model{vehicle::VehicleParams{}};
-  for (const std::string& generator : {"canonical", "crowded_lot",
-                                       "dynamic_gauntlet", "parallel_street",
-                                       "perpendicular"}) {
+  for (const char* generator : {"canonical", "crowded_lot",
+                                "dynamic_gauntlet", "parallel_street",
+                                "perpendicular"}) {
     ScenarioOptions opt;
     opt.generator = generator;
     opt.difficulty = Difficulty::kNormal;
@@ -148,16 +148,19 @@ TEST(DistanceFieldTest, ConservativeAgainstAnalyticAcrossGenerators) {
       // Lower bound, with only float-storage rounding as margin.
       EXPECT_LE(grid, truth + field.resolution())
           << generator << " pose " << i;
-      if (grid < geom::kMaxClearance)
+      if (grid < geom::kMaxClearance) {
         EXPECT_LE(grid, truth + 1e-6) << generator << " pose " << i;
+      }
       // Certainly-free probe => the analytic phase agrees.
-      if (field.probe(fp) == DistanceField::Probe::kFree)
+      if (field.probe(fp) == DistanceField::Probe::kFree) {
         EXPECT_FALSE(analytic.any_overlap(fp)) << generator << " pose " << i;
+      }
       // The bracket is ordered and its upper side really is an upper bound.
       const DistanceField::ClearanceBounds bounds = field.clearance_bounds(fp);
       EXPECT_LE(bounds.lower, bounds.upper) << generator << " pose " << i;
-      if (bounds.upper < geom::kMaxClearance)
+      if (bounds.upper < geom::kMaxClearance) {
         EXPECT_GE(bounds.upper, truth - 1e-6) << generator << " pose " << i;
+      }
     }
   }
 }

@@ -54,7 +54,9 @@ TEST(IntegrationTest, CoHandlesDynamicObstacles) {
   core::CoController controller(co::CoPlannerConfig{}, vehicle::VehicleParams{});
   const sim::EpisodeResult res = simulator.run(sc, controller, 510);
   // Either parks or at minimum never collides before timeout.
-  if (!res.success()) EXPECT_NE(res.outcome, sim::Outcome::kCollision);
+  if (!res.success()) {
+    EXPECT_NE(res.outcome, sim::Outcome::kCollision);
+  }
 }
 
 TEST(IntegrationTest, ExpertToTrainingToInferenceLoop) {

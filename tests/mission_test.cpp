@@ -289,14 +289,14 @@ TEST(MissionSessionTest, ExplicitStartCarriesStateAndClock) {
   sim::Session session =
       sim::Session::open(sc, *controller, 7, start, /*world_time=*/12.5);
 
-  EXPECT_EQ(session.frames(), 0u);
+  EXPECT_EQ(session.frame(), 0u);
   EXPECT_EQ(session.sim_time(), 0.0);
   EXPECT_EQ(session.state().pose.x(), 10.0);
   EXPECT_EQ(session.state().speed, 1.25);
   EXPECT_EQ(session.world().time(), 12.5);
 
   session.step();
-  EXPECT_EQ(session.frames(), 1u);
+  EXPECT_EQ(session.frame(), 1u);
   EXPECT_EQ(session.sim_time(), session.config().dt);
   EXPECT_NEAR(session.world().time(), 12.5 + session.config().dt, 1e-12);
 }

@@ -58,8 +58,12 @@ TEST_P(QpKktProperty, SolutionSatisfiesKktConditions) {
   // Complementary slackness sign convention: y_i < 0 only at the lower
   // bound, y_i > 0 only at the upper bound.
   for (std::size_t i = 0; i < n; ++i) {
-    if (r.y[i] > 1e-3) EXPECT_NEAR(ax[i], p.u[i], 1e-2);
-    if (r.y[i] < -1e-3) EXPECT_NEAR(ax[i], p.l[i], 1e-2);
+    if (r.y[i] > 1e-3) {
+      EXPECT_NEAR(ax[i], p.u[i], 1e-2);
+    }
+    if (r.y[i] < -1e-3) {
+      EXPECT_NEAR(ax[i], p.l[i], 1e-2);
+    }
   }
 }
 

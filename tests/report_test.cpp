@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <utility>
 #include <sstream>
 #include <string>
 
@@ -290,6 +291,81 @@ TEST(ReportCodecTest, CommittedBaselinesRoundTripByteForByte) {
     ASSERT_TRUE(sim::RunReport::parse(text, &loaded, &error))
         << name << ": " << error;
     EXPECT_EQ(loaded.to_json(), text) << name;
+  }
+}
+
+// ------------------------------------------------------- strict loading
+
+/// Parses `json` expecting failure; returns the error text.
+std::string parse_error(const std::string& json) {
+  sim::RunReport out;
+  std::string error;
+  EXPECT_FALSE(sim::RunReport::parse(json, &out, &error)) << json;
+  EXPECT_FALSE(error.empty()) << json;
+  return error;
+}
+
+std::string with_meta(const std::string& meta_fields) {
+  return "{\"schema_version\":2,\"meta\":{" + meta_fields + "},\"cells\":[]}";
+}
+
+TEST(ReportCodecTest, MalformedUnsignedValuesAreRejected) {
+  // strtoull alone would load "12zz" as 0x12 and "-1" as 2^64-1.
+  for (const char* bad : {"\"12zz\"", "\"\"", "\"-1\"", "\"+12\"", "\" 12\"",
+                          "\"0x12\"", "\"10000000000000000f\""}) {
+    const std::string error =
+        parse_error(with_meta(std::string("\"config_fingerprint\":") + bad));
+    EXPECT_NE(error.find("config_fingerprint"), std::string::npos) << error;
+  }
+  for (const char* bad : {"\"-1\"", "\"+5\"", "\"5 \"", "\"5x\"", "\"ff\"",
+                          "\"18446744073709551616\"", "-1", "1.5"}) {
+    const std::string error =
+        parse_error(with_meta(std::string("\"base_seed\":") + bad));
+    EXPECT_NE(error.find("base_seed"), std::string::npos) << error;
+  }
+  parse_error(R"json({"schema_version":2,"cells":[],"serve":{"frames":-3}})json");
+  parse_error(R"json({"schema_version":2,"cells":[],"mission":{"rows":[{"spec_fingerprint":"g"}]}})json");
+
+  // Well-formed extremes still load exactly.
+  sim::RunReport out;
+  std::string error;
+  ASSERT_TRUE(sim::RunReport::parse(
+      with_meta("\"base_seed\":\"18446744073709551615\","
+                "\"config_fingerprint\":\"FFFFFFFFFFFFFFFF\""),
+      &out, &error))
+      << error;
+  EXPECT_EQ(out.meta.base_seed, 18446744073709551615ull);
+  EXPECT_EQ(out.meta.config_fingerprint, 0xffffffffffffffffull);
+}
+
+TEST(ReportCodecTest, NewerBlockVersionsAreRejected) {
+  const std::pair<const char*, int> blocks[] = {
+      {"serve", sim::kServeStatsVersion},
+      {"collision", sim::kCollisionStatsVersion},
+      {"mission", sim::kMissionStatsVersion},
+      {"planner", sim::kPlannerStatsVersion}};
+  for (const auto& [block, current] : blocks) {
+    const std::string json = "{\"schema_version\":2,\"cells\":[],\"" +
+                             std::string(block) + "\":{\"version\":" +
+                             std::to_string(current + 1) + "}}";
+    const std::string error = parse_error(json);
+    EXPECT_NE(error.find(block), std::string::npos) << error;
+    EXPECT_NE(error.find("version"), std::string::npos) << error;
+  }
+}
+
+TEST(ReportCodecTest, NonObjectRowsAreRejected) {
+  const char* const docs[] = {
+      R"json({"schema_version":2,"cells":[1]})json",
+      R"json({"schema_version":2,"cells":[{"episode_records":["x"]}]})json",
+      R"json({"schema_version":2,"cells":[],"serve":{"levels":[null]}})json",
+      R"json({"schema_version":2,"cells":[],"collision":{"rows":[[]]}})json",
+      R"json({"schema_version":2,"cells":[],"mission":{"rows":[true]}})json",
+      R"json({"schema_version":2,"cells":[],"planner":{"rows":[2.5]}})json"};
+  for (const char* json : docs) {
+    const std::string error = parse_error(json);
+    EXPECT_NE(error.find("[] entry is not an object"), std::string::npos)
+        << error;
   }
 }
 

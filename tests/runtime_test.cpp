@@ -352,25 +352,6 @@ TEST(RunReportTest, JsonEscapeHandlesSpecials) {
   EXPECT_EQ(sim::json_escape(std::string(1, '\x01')), "\\u0001");
 }
 
-TEST(RunReportTest, AggregateJsonLineIsParseableJson) {
-  sim::Aggregate agg;
-  agg.method = "m\"x";
-  agg.episodes = 2;
-  agg.successes = 1;
-  // Wrap the line into a document our own parser accepts: proof it is
-  // well-formed JSON despite the quote in the method name.
-  const std::string line =
-      sim::aggregate_json_line("bench\\name", "cell \"q\"", agg);
-  sim::RunReport dummy;
-  std::string error;
-  const std::string doc =
-      "{\"schema_version\":1,\"meta\":{},\"cells\":[" + line + "]}";
-  ASSERT_TRUE(sim::RunReport::parse(doc, &dummy, &error)) << error;
-  ASSERT_EQ(dummy.cells.size(), 1u);
-  EXPECT_EQ(dummy.cells[0].method, "m\"x");
-  EXPECT_EQ(dummy.cells[0].episodes, 2);
-}
-
 TEST(RunReportTest, BaselineCompareVerdicts) {
   const sim::RunReport report = tiny_report();
 
