@@ -171,6 +171,54 @@ TEST(PolicyTest, SaveLoadRoundTrip) {
   std::filesystem::remove(path);
 }
 
+Dataset make_dataset(int n, int size = 16);
+
+/// Batch-of-one input tensor for the eval-kernel tests below.
+nn::Tensor obs_batch(const IlPolicy& policy, std::uint64_t seed) {
+  return policy.to_input(random_obs(16, seed));
+}
+
+void expect_eval_matches_classic(IlPolicy& policy, nn::EvalWorkspace& ws,
+                                 const nn::Tensor& x) {
+  // Eval first: reading the classic reference must not refresh anything
+  // the eval kernels would otherwise have read stale.
+  const nn::Tensor eval = policy.forward_eval(x, ws);
+  const nn::Tensor ref = policy.forward_batch(x, false);
+  ASSERT_EQ(eval.shape(), ref.shape());
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    ASSERT_EQ(eval[i], ref[i]) << "logit " << i;
+}
+
+// Dense packs its transposed weights on the first eval forward; weights
+// loaded into that live policy afterwards must reach the eval kernels.
+TEST(PolicyTest, EvalKernelsSeeLoadedWeights) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "icoil_policy_pack.bin").string();
+  IlPolicy source(tiny_config(), 11);
+  ASSERT_TRUE(source.save(path));
+  IlPolicy policy(tiny_config(), 99);
+  nn::EvalWorkspace ws;
+  const nn::Tensor x = obs_batch(policy, 6);
+  expect_eval_matches_classic(policy, ws, x);
+  ASSERT_TRUE(policy.load(path));
+  expect_eval_matches_classic(policy, ws, x);
+  std::filesystem::remove(path);
+}
+
+// Same for optimizer steps: Trainer::train updates the master network
+// through Adam while only the worker clones run the training forward.
+TEST(PolicyTest, EvalKernelsSeeTrainedWeights) {
+  IlPolicy policy(tiny_config(), 3);
+  nn::EvalWorkspace ws;
+  const nn::Tensor x = obs_batch(policy, 7);
+  expect_eval_matches_classic(policy, ws, x);
+  TrainConfig cfg;
+  cfg.epochs = 1;
+  cfg.num_threads = 1;
+  Trainer(cfg).train(policy, make_dataset(40));
+  expect_eval_matches_classic(policy, ws, x);
+}
+
 TEST(PolicyTest, BevSpecMatchesConfig) {
   IlPolicy policy(tiny_config());
   EXPECT_EQ(policy.bev_spec().size, 16);
@@ -179,7 +227,7 @@ TEST(PolicyTest, BevSpecMatchesConfig) {
 
 // --------------------------------------------------------------- dataset
 
-Dataset make_dataset(int n, int size = 16) {
+Dataset make_dataset(int n, int size) {
   Dataset d;
   for (int i = 0; i < n; ++i) {
     Sample s;
@@ -252,6 +300,35 @@ TEST(TrainerTest, LearnsSyntheticMapping) {
   EXPECT_GT(report.final_val_accuracy, 0.8);
   // Loss must broadly decrease.
   EXPECT_LT(report.epochs.back().train_loss, report.epochs.front().train_loss);
+}
+
+// Per-epoch validation accuracy of a tiny fixed-seed run, recorded with
+// the classic per-layer forward as the reference: the eval kernels that
+// evaluate_accuracy runs must reproduce it exactly.
+TEST(TrainerTest, ValidationAccuracyGolden) {
+  Dataset d;
+  math::Rng rng(13);
+  for (int i = 0; i < 160; ++i) {
+    const int label = i % 4;
+    sense::BevImage img(kObservationChannels, 16);
+    for (int c = 0; c < 16; ++c) img.at(0, label * 4 + 1, c) = 1.0f;
+    for (int k = 0; k < 12; ++k)
+      img.at(1, rng.uniform_int(0, 15), rng.uniform_int(0, 15)) = 1.0f;
+    d.add({std::move(img), label});
+  }
+  IlPolicy policy(tiny_config(), 3);
+  TrainConfig cfg;
+  cfg.epochs = 4;
+  cfg.batch_size = 16;
+  cfg.learning_rate = 3e-3;
+  cfg.validation_fraction = 0.25;
+  cfg.num_threads = 1;
+  const TrainReport report = Trainer(cfg).train(policy, d);
+  const std::vector<double> golden = {0.25, 0.525, 0.8, 1.0};
+  ASSERT_EQ(report.epochs.size(), golden.size());
+  for (std::size_t e = 0; e < golden.size(); ++e) {
+    EXPECT_DOUBLE_EQ(report.epochs[e].val_accuracy, golden[e]) << "epoch " << e + 1;
+  }
 }
 
 TEST(TrainerTest, ThreadCountsAgreeOnResultQuality) {
