@@ -43,7 +43,8 @@ void BM_IlMode(benchmark::State& state) {
   math::Rng rng(1);
   const vehicle::State ego = bench_state();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(controller->act(world, ego, rng));
+    core::FrameContext frame(rng);
+    benchmark::DoNotOptimize(controller->act(world, ego, frame));
   }
 }
 BENCHMARK(BM_IlMode)->Unit(benchmark::kMillisecond);
@@ -56,7 +57,8 @@ void BM_CoMode(benchmark::State& state) {
   math::Rng rng(1);
   const vehicle::State ego = bench_state();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(controller->act(world, ego, rng));
+    core::FrameContext frame(rng);
+    benchmark::DoNotOptimize(controller->act(world, ego, frame));
   }
 }
 BENCHMARK(BM_CoMode)->Unit(benchmark::kMillisecond);

@@ -38,8 +38,7 @@ int main() {
   //    exact loop; owning it ourselves shows the telemetry live.
   sim::SimConfig sim_config;
   sim_config.record_trace = true;
-  sim::Session session =
-      sim::Session::open(scenario, *controller, /*seed=*/42, sim_config);
+  sim::Session session(scenario, *controller, /*seed=*/42, sim_config);
   std::printf("\n   t     x      y    heading  v      mode  U_i    C_i\n");
   for (;;) {
     // Capture the pre-step state: after step() the controller's last_frame

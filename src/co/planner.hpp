@@ -56,7 +56,6 @@ class CoPlanner {
   const RefPath& reference() const { return ref_; }
   bool has_reference() const { return !ref_.empty(); }
   const std::vector<PathPhase>& phases() const { return phases_; }
-  std::size_t current_phase() const { return phase_; }
 
   /// Plan the reference path from `start` to `goal` around the static
   /// obstacles. Returns false when hybrid A* fails (search exhausted, or a

@@ -1,7 +1,5 @@
 #include "core/co_controller.hpp"
 
-#include <chrono>
-
 namespace icoil::core {
 
 CoController::CoController(co::CoPlannerConfig config,
@@ -27,7 +25,6 @@ void CoController::reset(const world::Scenario& scenario) {
 vehicle::Command CoController::act(const world::World& world,
                                    const vehicle::State& state,
                                    FrameContext& frame) {
-  const auto t0 = std::chrono::steady_clock::now();
   // Borrow the world's distance field (grid backend; nullptr otherwise) so a
   // deferred hybrid-A* plan running this frame gets the O(1) fast path.
   planner_.set_distance_field(world.distance_field());
@@ -37,10 +34,6 @@ vehicle::Command CoController::act(const world::World& world,
   frame_.mode = Mode::kCo;
   frame_.command = cmd;
   frame_.deadline_hit = frame.deadline_hit();
-  frame_.solve_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                t0)
-          .count();
   return cmd;
 }
 

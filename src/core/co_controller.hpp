@@ -23,7 +23,6 @@ class CoController final : public Controller {
 
   std::string name() const override { return "CO"; }
   void reset(const world::Scenario& scenario) override;
-  using Controller::act;
   vehicle::Command act(const world::World& world, const vehicle::State& state,
                        FrameContext& frame) override;
   const FrameInfo& last_frame() const override { return frame_; }

@@ -21,7 +21,9 @@ struct FrameInfo {
   double complexity = 0.0;    ///< normalized C_i (eq. 8)
   double ratio = 0.0;         ///< f_HSA = U_i / C_i
   vehicle::Command command;
-  double solve_ms = 0.0;      ///< wall time spent in this act() call
+  /// Wall time of this frame on its FrameContext clock. sim::Session
+  /// stamps it into the frames it records in a trace; controllers leave 0.
+  double solve_ms = 0.0;
   /// True when this frame's FrameContext deadline tripped and the
   /// controller returned a best-so-far (degraded) command.
   bool deadline_hit = false;
@@ -48,15 +50,6 @@ class Controller {
   virtual vehicle::Command act(const world::World& world,
                                const vehicle::State& state,
                                FrameContext& frame) = 0;
-
-  /// Convenience for callers without budget plumbing (tests, probes,
-  /// micro-benchmarks): wraps `rng` in an unlimited FrameContext. Concrete
-  /// controllers re-export it with `using Controller::act;`.
-  vehicle::Command act(const world::World& world, const vehicle::State& state,
-                       math::Rng& rng) {
-    FrameContext frame(rng);
-    return act(world, state, frame);
-  }
 
   /// Telemetry of the most recent act() call.
   virtual const FrameInfo& last_frame() const = 0;

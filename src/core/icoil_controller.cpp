@@ -1,7 +1,5 @@
 #include "core/icoil_controller.hpp"
 
-#include <chrono>
-
 #include "il/observation.hpp"
 
 namespace icoil::core {
@@ -31,54 +29,43 @@ void IcoilController::reset(const world::Scenario& scenario) {
                            std::move(static_boxes), scenario.map.bounds);
 }
 
-sense::BevImage IcoilController::sense(const world::World& world,
-                                       const vehicle::State& state,
-                                       FrameContext& frame) {
-  sense::BevImage bev = rasterizer_.render(world, state.pose);
-  if (noise_) noise_->apply(bev, frame.rng());
-  return bev;
-}
-
-vehicle::Command IcoilController::act(const world::World& world,
-                                      const vehicle::State& state,
-                                      FrameContext& frame) {
-  const auto t0 = std::chrono::steady_clock::now();
-
+sense::BevImage IcoilController::observe(const world::World& world,
+                                         const vehicle::State& state,
+                                         FrameContext& frame) {
   // Plan the deferred reference up front, not on the CO branch: it must
   // exist whichever mode wins this frame, or the first CO takeover after an
   // IL start would pay the full search mid-episode.
   planner_.set_distance_field(world.distance_field());
   planner_.ensure_reference(&frame);
+  sense::BevImage bev = rasterizer_.render(world, state.pose);
+  if (noise_) noise_->apply(bev, frame.rng());
+  return il::make_observation(bev, state.speed);
+}
 
+vehicle::Command IcoilController::act(const world::World& world,
+                                      const vehicle::State& state,
+                                      FrameContext& frame) {
   // (a) IL inference — always runs; HSA needs the output distribution.
-  const sense::BevImage bev = sense(world, state, frame);
-  const il::Inference inf =
-      policy_->infer(il::make_observation(bev, state.speed));
-
-  return finish_frame(world, state, frame, inf, t0);
+  const il::Inference inf = policy_->infer(observe(world, state, frame));
+  return finish_frame(world, state, frame, inf);
 }
 
 void IcoilController::stage(const world::World& world,
                             const vehicle::State& state, FrameContext& frame,
                             il::BatchInferencer& service) {
-  stage_t0_ = std::chrono::steady_clock::now();
-  planner_.set_distance_field(world.distance_field());
-  planner_.ensure_reference(&frame);
-  const sense::BevImage bev = sense(world, state, frame);
-  slot_ = service.submit(il::make_observation(bev, state.speed));
+  slot_ = service.submit(observe(world, state, frame));
 }
 
 vehicle::Command IcoilController::commit(const world::World& world,
                                          const vehicle::State& state,
                                          FrameContext& frame,
                                          const il::BatchInferencer& service) {
-  return finish_frame(world, state, frame, service.result(slot_), stage_t0_);
+  return finish_frame(world, state, frame, service.result(slot_));
 }
 
 vehicle::Command IcoilController::finish_frame(
     const world::World& world, const vehicle::State& state,
-    FrameContext& frame, const il::Inference& inf,
-    std::chrono::steady_clock::time_point t0) {
+    FrameContext& frame, const il::Inference& inf) {
   // (b) Obstacle distances for the complexity model (eq. 8).
   const auto detections =
       detector_->detect(world, state.pose.position, frame.rng());
@@ -108,10 +95,6 @@ vehicle::Command IcoilController::finish_frame(
   frame_.ratio = hsa_.ratio();
   frame_.command = cmd;
   frame_.deadline_hit = frame.deadline_hit();
-  frame_.solve_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                t0)
-          .count();
   return cmd;
 }
 

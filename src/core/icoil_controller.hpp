@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <memory>
 
 #include "co/planner.hpp"
@@ -30,17 +29,18 @@ struct IcoilConfig {
 /// (c) lets HSA + the guard-time switcher choose the working mode (eq. 1),
 /// and (d) executes either the IL action or the CO-optimized action.
 ///
-/// Implements BatchClient: stage() covers the deferred reference plan plus
-/// sensing (the image-noise RNG draw), commit() covers detection (the
-/// detector RNG draws), HSA and mode execution — the same per-episode RNG
-/// order as act(), so batched and unbatched episodes are bit-identical.
+/// Implements BatchClient. act() and stage() run the same pre-inference
+/// half, observe(): the deferred reference plan plus sensing (the
+/// image-noise RNG draw). act() and commit() run the same post-inference
+/// half, finish_frame(): detection (the detector RNG draws), HSA and mode
+/// execution. Both paths therefore draw from the episode RNG in one order,
+/// so batched and unbatched episodes are bit-identical.
 class IcoilController final : public Controller, public BatchClient {
  public:
   IcoilController(IcoilConfig config, const il::IlPolicy& trained_policy);
 
   std::string name() const override { return "iCOIL"; }
   void reset(const world::Scenario& scenario) override;
-  using Controller::act;
   vehicle::Command act(const world::World& world, const vehicle::State& state,
                        FrameContext& frame) override;
   const FrameInfo& last_frame() const override { return frame_; }
@@ -57,12 +57,13 @@ class IcoilController final : public Controller, public BatchClient {
   const SafetyMonitor& safety() const { return safety_; }
 
  private:
-  sense::BevImage sense(const world::World& world, const vehicle::State& state,
-                        FrameContext& frame);
+  /// Deferred reference plan, then render, corrupt and pack this frame's
+  /// network input.
+  sense::BevImage observe(const world::World& world,
+                          const vehicle::State& state, FrameContext& frame);
   vehicle::Command finish_frame(const world::World& world,
                                 const vehicle::State& state,
-                                FrameContext& frame, const il::Inference& inf,
-                                std::chrono::steady_clock::time_point t0);
+                                FrameContext& frame, const il::Inference& inf);
 
   IcoilConfig config_;
   std::unique_ptr<il::IlPolicy> policy_;
@@ -76,7 +77,6 @@ class IcoilController final : public Controller, public BatchClient {
   vehicle::BicycleModel model_;
   FrameInfo frame_;
   std::size_t slot_ = 0;  ///< batch slot between stage() and commit()
-  std::chrono::steady_clock::time_point stage_t0_;
 };
 
 }  // namespace icoil::core

@@ -1,7 +1,5 @@
 #include "core/il_controller.hpp"
 
-#include <chrono>
-
 #include "il/observation.hpp"
 
 namespace icoil::core {
@@ -15,16 +13,15 @@ void IlController::reset(const world::Scenario& scenario) {
   frame_.mode = Mode::kIl;
 }
 
-sense::BevImage IlController::sense(const world::World& world,
-                                    const vehicle::State& state,
-                                    FrameContext& frame) {
+sense::BevImage IlController::observe(const world::World& world,
+                                      const vehicle::State& state,
+                                      FrameContext& frame) {
   sense::BevImage bev = rasterizer_.render(world, state.pose);
   if (noise_) noise_->apply(bev, frame.rng());
-  return bev;
+  return il::make_observation(bev, state.speed);
 }
 
-vehicle::Command IlController::finish_frame(
-    const il::Inference& inf, std::chrono::steady_clock::time_point t0) {
+vehicle::Command IlController::finish_frame(const il::Inference& inf) {
   frame_.mode = Mode::kIl;
   frame_.entropy = inf.entropy;
   frame_.uncertainty = inf.entropy;
@@ -34,37 +31,24 @@ vehicle::Command IlController::finish_frame(
   // One indivisible forward pass: nothing to degrade, so a deadline is
   // never reported hit here.
   frame_.deadline_hit = false;
-  frame_.solve_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                t0)
-          .count();
   return inf.command;
 }
 
 vehicle::Command IlController::act(const world::World& world,
                                    const vehicle::State& state,
                                    FrameContext& frame) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const sense::BevImage bev = sense(world, state, frame);
-  const il::Inference inf =
-      policy_->infer(il::make_observation(bev, state.speed));
-  return finish_frame(inf, t0);
+  return finish_frame(policy_->infer(observe(world, state, frame)));
 }
 
 void IlController::stage(const world::World& world, const vehicle::State& state,
                          FrameContext& frame, il::BatchInferencer& service) {
-  stage_t0_ = std::chrono::steady_clock::now();
-  const sense::BevImage bev = sense(world, state, frame);
-  slot_ = service.submit(il::make_observation(bev, state.speed));
+  slot_ = service.submit(observe(world, state, frame));
 }
 
 vehicle::Command IlController::commit(const world::World&,
                                       const vehicle::State&, FrameContext&,
                                       const il::BatchInferencer& service) {
-  // solve_ms spans stage-start to commit-end: under batching that includes
-  // the shared forward's synchronization wall, which IS this frame's
-  // latency — the throughput-for-latency trade the serve report documents.
-  return finish_frame(service.result(slot_), stage_t0_);
+  return finish_frame(service.result(slot_));
 }
 
 }  // namespace icoil::core

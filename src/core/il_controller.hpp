@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <memory>
 
 #include "core/batch_client.hpp"
@@ -15,15 +14,15 @@ namespace icoil::core {
 /// paper): a DNN maps the BEV image directly to a discretized action every
 /// frame. Owns a private clone of the trained policy (network forward
 /// passes cache activations and cannot be shared). Implements BatchClient:
-/// the frame splits at the inference, with the single RNG draw site (image
-/// noise) in stage(), so batched and unbatched episodes are bit-identical.
+/// the frame splits at the inference, and act() and stage() share observe(),
+/// the single RNG draw site (image noise), so batched and unbatched episodes
+/// are bit-identical.
 class IlController final : public Controller, public BatchClient {
  public:
   explicit IlController(const il::IlPolicy& trained_policy);
 
   std::string name() const override { return "IL"; }
   void reset(const world::Scenario& scenario) override;
-  using Controller::act;
   vehicle::Command act(const world::World& world, const vehicle::State& state,
                        FrameContext& frame) override;
   const FrameInfo& last_frame() const override { return frame_; }
@@ -38,17 +37,16 @@ class IlController final : public Controller, public BatchClient {
   il::IlPolicy& policy() { return *policy_; }
 
  private:
-  sense::BevImage sense(const world::World& world, const vehicle::State& state,
-                        FrameContext& frame);
-  vehicle::Command finish_frame(const il::Inference& inf,
-                                std::chrono::steady_clock::time_point t0);
+  /// Render, corrupt and pack this frame's network input.
+  sense::BevImage observe(const world::World& world,
+                          const vehicle::State& state, FrameContext& frame);
+  vehicle::Command finish_frame(const il::Inference& inf);
 
   std::unique_ptr<il::IlPolicy> policy_;
   sense::BevRasterizer rasterizer_;
   std::unique_ptr<sense::ImageNoise> noise_;
   FrameInfo frame_;
   std::size_t slot_ = 0;  ///< batch slot between stage() and commit()
-  std::chrono::steady_clock::time_point stage_t0_;
 };
 
 }  // namespace icoil::core

@@ -34,10 +34,11 @@ struct BatchStats {
 /// submit() their observation for the current tick (thread-safe; the copy
 /// into the staging tensor is the gather step), the driver then calls
 /// run_tick() once — a single forward over the packed (N,C,H,W) batch on
-/// shared weights — and each session reads back result(slot). Results are
-/// bit-identical to calling policy.infer() per observation: the eval-path
-/// kernels never reassociate per-element sums (mathkit/gemm.hpp) and every
-/// layer treats batch rows independently.
+/// shared weights — and each session reads back result(slot). Per-session
+/// IlPolicy::infer() runs the same eval kernels on a batch of one. Results
+/// are bit-identical to the classic forward_batch() per observation: the
+/// eval kernels never reassociate per-element sums (mathkit/gemm.hpp) and
+/// every layer treats batch rows independently.
 class BatchInferencer {
  public:
   /// `max_batch` caps one forward pass; a tick with more submissions runs

@@ -51,8 +51,8 @@ nn::Tensor IlPolicy::to_input(const sense::BevImage& observation) const {
       observation.data());
 }
 
-nn::Tensor IlPolicy::forward_batch(const nn::Tensor& batch, bool training) {
-  return net_.forward(batch, training);
+nn::Tensor IlPolicy::forward_batch(const nn::Tensor& batch) {
+  return net_.forward(batch);
 }
 
 const nn::Tensor& IlPolicy::forward_eval(const nn::Tensor& batch,
@@ -71,8 +71,7 @@ Inference IlPolicy::inference_from_logits(const float* logits, int m) {
 }
 
 Inference IlPolicy::infer(const sense::BevImage& observation) {
-  const nn::Tensor logits =
-      net_.forward(to_input(observation), /*training=*/false);
+  const nn::Tensor& logits = net_.forward_eval(to_input(observation), ws_);
   return inference_from_logits(logits.data(), logits.dim(1));
 }
 
@@ -85,6 +84,7 @@ std::unique_ptr<IlPolicy> IlPolicy::clone() const {
   for (std::size_t i = 0; i < src.size(); ++i) {
     assert(src[i]->value.shape() == dst[i]->value.shape());
     dst[i]->value = src[i]->value;
+    ++dst[i]->version;
   }
   return copy;
 }

@@ -47,16 +47,19 @@ class IlPolicy {
   nn::Sequential& network() { return net_; }
 
   /// Forward pass on a single observation (use il::make_observation to
-  /// build one from a BEV image and the ego speed).
+  /// build one from a BEV image and the ego speed): forward_eval through a
+  /// workspace this policy owns, the kernels batched serving runs too.
   Inference infer(const sense::BevImage& observation);
 
-  /// Forward pass on a prepared batch tensor (N,C,H,W) -> logits (N,M).
-  nn::Tensor forward_batch(const nn::Tensor& batch, bool training);
+  /// Training forward on a prepared batch tensor (N,C,H,W) -> logits (N,M):
+  /// the classic per-layer path, caching activations for backward(). It is
+  /// the reference the eval kernels are tested against.
+  nn::Tensor forward_batch(const nn::Tensor& batch);
 
   /// Inference-only batched forward through a caller-owned workspace: routes
   /// every layer through its GEMM/no-allocation kernel and returns a
   /// reference into `ws` (valid until the next call with that workspace).
-  /// Bit-identical to forward_batch(batch, false), row for row.
+  /// Bit-identical to forward_batch(batch), row for row.
   const nn::Tensor& forward_eval(const nn::Tensor& batch, nn::EvalWorkspace& ws);
 
   /// The post-processing infer() applies to one row of M logits: softmax,
@@ -77,6 +80,7 @@ class IlPolicy {
  private:
   Config config_;
   nn::Sequential net_;
+  nn::EvalWorkspace ws_;  ///< infer()'s buffers
 };
 
 }  // namespace icoil::il

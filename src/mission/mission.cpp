@@ -240,8 +240,8 @@ LegResult Mission::run_leg(LegType type, int target_bay,
       seed_ ^ (0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(ordinal_ + 1));
   ++ordinal_;
 
-  sim::Session session = sim::Session::open(sc, controller, leg_seed, ego_,
-                                            elapsed_, leg_config(type), cancel);
+  sim::Session session(sc, controller, leg_seed, ego_, elapsed_,
+                       leg_config(type), cancel);
   traffic_.attach(session.world_mutable());
   traffic_.set_ego(ego_.pose);
 

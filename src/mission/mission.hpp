@@ -142,8 +142,7 @@ class Mission {
 
   const world::Scenario& base_scenario() const { return base_; }
   const TrafficSimulator& traffic() const { return traffic_; }
-  /// Ego state / mission clock after the last (or mid-failure final) leg.
-  const vehicle::State& ego_state() const { return ego_; }
+  /// Mission clock after the last (or mid-failure final) leg.
   double elapsed() const { return elapsed_; }
 
   /// The per-leg scenarios of the last run (driving legs only, in order):

@@ -126,9 +126,6 @@ class TrafficSimulator final : public world::WorldDriver {
 
   std::size_t agent_count() const { return agents_.size(); }
   const geom::Pose2& agent_pose(std::size_t i) const { return agents_[i].pose; }
-  const TrafficAgentSpec& agent_spec(std::size_t i) const {
-    return agents_[i].spec;
-  }
   /// True once the script's rival steal has fired.
   bool rival_fired() const { return rival_fired_; }
 

@@ -22,15 +22,15 @@ void Conv2D::init(math::Rng& rng) {
   bias_.value.zero();
 }
 
-// The conv kernels are written as shifted-row AXPY loops: for each kernel
-// tap the inner loop is a contiguous multiply-add over a row, which the
-// compiler vectorizes. This is the throughput kernel of the whole IL stack.
+// The training forward is written as shifted-row AXPY loops: for each
+// kernel tap the inner loop is a contiguous multiply-add over a row, which
+// the compiler vectorizes. Inference runs forward_eval's im2col + GEMM.
 
-Tensor Conv2D::forward(const Tensor& input, bool training) {
+Tensor Conv2D::forward(const Tensor& input) {
   const int n = input.dim(0), h = input.dim(2), w = input.dim(3);
   const int oh = h + 2 * pad_ - k_ + 1;
   const int ow = w + 2 * pad_ - k_ + 1;
-  if (training) cached_input_ = input;
+  cached_input_ = input;
 
   Tensor out({n, out_c_, oh, ow});
   const std::size_t in_plane = static_cast<std::size_t>(h) * w;
@@ -180,18 +180,13 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
 
 // ------------------------------------------------------------------ ReLU
 
-Tensor ReLU::forward(const Tensor& input, bool training) {
+Tensor ReLU::forward(const Tensor& input) {
   Tensor out = input;
-  if (training) {
-    mask_ = Tensor(input.shape());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      const bool pos = out[i] > 0.0f;
-      mask_[i] = pos ? 1.0f : 0.0f;
-      if (!pos) out[i] = 0.0f;
-    }
-  } else {
-    for (std::size_t i = 0; i < out.size(); ++i)
-      if (out[i] < 0.0f) out[i] = 0.0f;
+  mask_ = Tensor(input.shape());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const bool pos = out[i] > 0.0f;
+    mask_[i] = pos ? 1.0f : 0.0f;
+    if (!pos) out[i] = 0.0f;
   }
   return out;
 }
@@ -212,12 +207,12 @@ Tensor ReLU::backward(const Tensor& grad_out) {
 
 // ------------------------------------------------------------- MaxPool2D
 
-Tensor MaxPool2D::forward(const Tensor& input, bool training) {
+Tensor MaxPool2D::forward(const Tensor& input) {
   const int n = input.dim(0), c = input.dim(1), h = input.dim(2), w = input.dim(3);
   const int oh = h / 2, ow = w / 2;
   in_shape_ = input.shape();
   Tensor out({n, c, oh, ow});
-  if (training) argmax_.assign(out.size(), 0);
+  argmax_.assign(out.size(), 0);
 
   std::size_t oi = 0;
   for (int b = 0; b < n; ++b) {
@@ -237,7 +232,7 @@ Tensor MaxPool2D::forward(const Tensor& input, bool training) {
             }
           }
           out.at4(b, ch, y, x) = best;
-          if (training) argmax_[oi] = best_idx;
+          argmax_[oi] = best_idx;
         }
       }
     }
@@ -285,7 +280,7 @@ Tensor MaxPool2D::backward(const Tensor& grad_out) {
 
 // --------------------------------------------------------------- Flatten
 
-Tensor Flatten::forward(const Tensor& input, bool) {
+Tensor Flatten::forward(const Tensor& input) {
   in_shape_ = input.shape();
   Tensor out = input;
   const int n = input.dim(0);
@@ -320,14 +315,12 @@ void Dense::init(math::Rng& rng) {
   packed_dirty_ = true;
 }
 
-Tensor Dense::forward(const Tensor& input, bool training) {
+Tensor Dense::forward(const Tensor& input) {
   const int n = input.dim(0);
-  if (training) {
-    cached_input_ = input;
-    // A training forward means an optimizer step is coming: the packed
-    // transpose must be rebuilt before the next forward_eval.
-    packed_dirty_ = true;
-  }
+  cached_input_ = input;
+  // A training forward means a weight update is coming: the packed
+  // transpose must be rebuilt before the next forward_eval.
+  packed_dirty_ = true;
   Tensor out({n, out_f_});
   for (int b = 0; b < n; ++b) {
     const float* x = input.data() + static_cast<std::size_t>(b) * in_f_;
@@ -349,13 +342,14 @@ void Dense::forward_eval(const Tensor& input, Tensor& out) {
   const int n = input.dim(0);
   out.resize({n, out_f_});
 
-  if (packed_dirty_) {
+  if (packed_dirty_ || packed_version_ != weight_.version) {
     packed_wt_.resize(static_cast<std::size_t>(in_f_) * out_f_);
     for (int o = 0; o < out_f_; ++o)
       for (int i = 0; i < in_f_; ++i)
         packed_wt_[static_cast<std::size_t>(i) * out_f_ + o] =
             weight_.value[static_cast<std::size_t>(o) * in_f_ + i];
     packed_dirty_ = false;
+    packed_version_ = weight_.version;
   }
 
   for (int b = 0; b < n; ++b) {
@@ -410,14 +404,14 @@ std::vector<float> softmax_row(const float* logits, int m) {
   return p;
 }
 
-Tensor Softmax::forward(const Tensor& input, bool training) {
+Tensor Softmax::forward(const Tensor& input) {
   const int n = input.dim(0), m = input.dim(1);
   Tensor out({n, m});
   for (int b = 0; b < n; ++b) {
     const auto p = softmax_row(input.data() + static_cast<std::size_t>(b) * m, m);
     std::copy(p.begin(), p.end(), out.data() + static_cast<std::size_t>(b) * m);
   }
-  if (training) cached_output_ = out;
+  cached_output_ = out;
   return out;
 }
 

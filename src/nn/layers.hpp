@@ -13,7 +13,7 @@ class Conv2D final : public Layer {
   Conv2D(int in_channels, int out_channels, int kernel = 3, int pad = 1);
 
   std::string name() const override { return "conv2d"; }
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   void forward_eval(const Tensor& input, Tensor& output) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
@@ -34,7 +34,7 @@ class Conv2D final : public Layer {
 class ReLU final : public Layer {
  public:
   std::string name() const override { return "relu"; }
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   void forward_eval(const Tensor& input, Tensor& output) override;
 
@@ -46,7 +46,7 @@ class ReLU final : public Layer {
 class MaxPool2D final : public Layer {
  public:
   std::string name() const override { return "maxpool2d"; }
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   void forward_eval(const Tensor& input, Tensor& output) override;
 
@@ -60,7 +60,7 @@ class MaxPool2D final : public Layer {
 class Flatten final : public Layer {
  public:
   std::string name() const override { return "flatten"; }
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   void forward_eval(const Tensor& input, Tensor& output) override;
 
@@ -74,7 +74,7 @@ class Dense final : public Layer {
   Dense(int in_features, int out_features);
 
   std::string name() const override { return "dense"; }
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   void forward_eval(const Tensor& input, Tensor& output) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
@@ -91,9 +91,11 @@ class Dense final : public Layer {
   // Transposed (in_f, out_f) copy of weight_ for forward_eval's GEMM: the
   // kernel then vectorizes across output features while each feature's
   // k-sum stays sequential — the bit-identity requirement. Rebuilt lazily
-  // whenever training may have touched the weights.
+  // whenever the weights may have changed: after init, forward or backward
+  // on this layer, or once weight_.version moves past packed_version_.
   std::vector<float> packed_wt_;
   bool packed_dirty_ = true;
+  std::uint64_t packed_version_ = 0;
 };
 
 /// Row-wise softmax over (N, M) logits. Backward assumes the incoming
@@ -101,7 +103,7 @@ class Dense final : public Layer {
 class Softmax final : public Layer {
  public:
   std::string name() const override { return "softmax"; }
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   void forward_eval(const Tensor& input, Tensor& output) override;
 

@@ -18,6 +18,7 @@ void Sgd::step() {
       vel[i] = static_cast<float>(momentum_ * vel[i] - lr_ * p.grad[i]);
       p.value[i] += vel[i];
     }
+    ++p.version;
   }
 }
 
@@ -48,6 +49,7 @@ void Adam::step() {
       const double vhat = v[i] / bc2;
       p.value[i] -= static_cast<float>(lr_ * mhat / (std::sqrt(vhat) + eps_));
     }
+    ++p.version;
   }
 }
 

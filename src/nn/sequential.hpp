@@ -30,7 +30,6 @@ class Sequential {
     return ref;
   }
 
-  std::size_t num_layers() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_[i]; }
 
   /// Initialize every layer's parameters from a seeded RNG.
@@ -38,9 +37,10 @@ class Sequential {
     for (auto& l : layers_) l->init(rng);
   }
 
-  Tensor forward(const Tensor& input, bool training = false) {
+  /// Training forward: every layer caches what backward() needs.
+  Tensor forward(const Tensor& input) {
     Tensor x = input;
-    for (auto& l : layers_) x = l->forward(x, training);
+    for (auto& l : layers_) x = l->forward(x);
     return x;
   }
 
@@ -48,7 +48,7 @@ class Sequential {
   /// between the two buffers, so a steady-state caller allocates nothing per
   /// call. Returns a reference into `ws` (or `input` for an empty network);
   /// valid until the next forward_eval with the same workspace. Results are
-  /// bit-identical to forward(input, false).
+  /// bit-identical to forward(input).
   const Tensor& forward_eval(const Tensor& input, EvalWorkspace& ws) {
     const Tensor* cur = &input;
     Tensor* bufs[2] = {&ws.ping, &ws.pong};

@@ -50,6 +50,7 @@ bool load_params(Sequential& net, const std::string& path) {
     if (shape != p->value.shape()) return false;
     f.read(reinterpret_cast<char*>(p->value.data()),
            static_cast<std::streamsize>(p->value.size() * sizeof(float)));
+    ++p->version;
     if (!f) return false;
   }
   return true;

@@ -73,7 +73,7 @@ Session::Status Session::step() {
   if (!begin_frame()) return Status::kDone;
   core::FrameContext frame_ctx(rng_, cancel_, config_.frame_deadline_ms);
   const vehicle::Command cmd = controller_->act(world_, state_, frame_ctx);
-  return execute_frame(cmd);
+  return execute_frame(cmd, frame_ctx);
 }
 
 bool Session::stage(il::BatchInferencer& service) {
@@ -90,15 +90,21 @@ Session::Status Session::commit(il::BatchInferencer& service) {
     return done_ ? Status::kDone : Status::kRunning;
   const vehicle::Command cmd =
       batch_client_->commit(world_, state_, *staged_ctx_, service);
+  const Status status = execute_frame(cmd, *staged_ctx_);
   staged_ctx_.reset();
-  return execute_frame(cmd);
+  return status;
 }
 
-Session::Status Session::execute_frame(const vehicle::Command& cmd) {
+Session::Status Session::execute_frame(const vehicle::Command& cmd,
+                                       const core::FrameContext& frame_ctx) {
   const double t = static_cast<double>(frame_) * config_.dt;
   const core::FrameInfo& info = controller_->last_frame();
 
-  if (config_.record_trace) result_.trace.push_back({t, state_, info});
+  if (config_.record_trace) {
+    core::FrameInfo recorded = info;
+    recorded.solve_ms = frame_ctx.elapsed_ms();
+    result_.trace.push_back({t, state_, recorded});
+  }
   if (frame_ > 0 && info.mode != prev_mode_) ++result_.mode_switches;
   prev_mode_ = info.mode;
   if (info.mode == core::Mode::kIl) ++il_frames_;

@@ -29,7 +29,10 @@ namespace icoil::sim {
 /// Per-frame budgets: every step() hands the controller a FrameContext
 /// carrying SimConfig::frame_deadline_ms (and the episode CancelToken), so
 /// budget-aware controllers degrade per frame; frames that hit the deadline
-/// are counted in EpisodeResult::deadline_hits.
+/// are counted in EpisodeResult::deadline_hits. That context's clock is the
+/// frame's only stopwatch: with SimConfig::record_trace set, each recorded
+/// frame's FrameInfo::solve_ms is the context's elapsed time read right
+/// after act() (or commit()) returns.
 class Session {
  public:
   enum class Status { kRunning, kDone };
@@ -52,24 +55,6 @@ class Session {
   Session(const world::Scenario& scenario, core::Controller& controller,
           std::uint64_t seed, const vehicle::State& start, double world_time,
           SimConfig config = {}, const core::CancelToken* cancel = nullptr);
-
-  /// Convenience spelling mirroring the open/step/result vocabulary.
-  static Session open(const world::Scenario& scenario,
-                      core::Controller& controller, std::uint64_t seed,
-                      SimConfig config = {},
-                      const core::CancelToken* cancel = nullptr) {
-    return Session(scenario, controller, seed, config, cancel);
-  }
-
-  /// open() overload starting from an explicit ego state (mission legs).
-  static Session open(const world::Scenario& scenario,
-                      core::Controller& controller, std::uint64_t seed,
-                      const vehicle::State& start, double world_time,
-                      SimConfig config = {},
-                      const core::CancelToken* cancel = nullptr) {
-    return Session(scenario, controller, seed, start, world_time, config,
-                   cancel);
-  }
 
   /// Advance one control frame (sense -> act -> integrate -> check).
   /// Returns kDone once the episode reached a terminal condition; further
@@ -122,7 +107,8 @@ class Session {
   /// Pre-act frame admission: terminal/cancel checks. False = episode over.
   bool begin_frame();
   /// Post-act bookkeeping, integration and terminal checks.
-  Status execute_frame(const vehicle::Command& cmd);
+  Status execute_frame(const vehicle::Command& cmd,
+                       const core::FrameContext& frame_ctx);
 
   SimConfig config_;
   core::Controller* controller_;

@@ -73,11 +73,6 @@ class DistanceField {
     return distance_[static_cast<std::size_t>(iy) * width_ + ix];
   }
 
-  /// The occupancy raster the EDT was built from (dilated per the
-  /// conservativeness contract). Precondition as cell_distance.
-  bool cell_occupied(int ix, int iy) const {
-    return occupied_[static_cast<std::size_t>(iy) * width_ + ix] != 0;
-  }
   /// Row-major occupancy raster, one byte per cell (grid consumers — e.g.
   /// the planner's Dijkstra cost-to-go — sweep it directly).
   const std::vector<std::uint8_t>& occupancy() const { return occupied_; }

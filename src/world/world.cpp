@@ -95,13 +95,6 @@ bool World::bay_occupied(std::size_t bay_index) const {
   return false;
 }
 
-std::vector<std::size_t> World::free_bays() const {
-  std::vector<std::size_t> out;
-  for (std::size_t b = 0; b < scenario_.map.bays.size(); ++b)
-    if (!bay_occupied(b)) out.push_back(b);
-  return out;
-}
-
 bool World::static_collision(const geom::Obb& footprint) const {
   // Grid fast path: a certainly-free distance-field probe skips the
   // analytic narrow phase; anything within the conservative band runs it,

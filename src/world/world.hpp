@@ -96,15 +96,11 @@ class World {
   /// `bay_index` — the physical half of bay contention (the mission layer's
   /// BayLedger holds the intent half).
   bool bay_occupied(std::size_t bay_index) const;
-  /// Indices of bays with no obstacle centre inside them, ascending.
-  std::vector<std::size_t> free_bays() const;
 
   /// Ground-truth obstacle footprints at the current time.
   std::vector<ObstacleState> obstacle_states() const;
   std::vector<geom::Obb> obstacle_boxes() const;
 
-  /// Broad-phase cache over the static obstacles (footprints never move).
-  const geom::ObbSet& static_obstacle_set() const { return static_set_; }
   /// Indices into scenario().obstacles of the dynamic obstacles.
   const std::vector<std::size_t>& dynamic_obstacle_indices() const {
     return dynamic_indices_;

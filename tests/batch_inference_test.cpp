@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/co_controller.hpp"
 #include "core/icoil_controller.hpp"
 #include "core/il_controller.hpp"
 #include "il/batch_inferencer.hpp"
@@ -48,7 +49,16 @@ void expect_same_inference(const il::Inference& batched,
   EXPECT_EQ(batched.command.reverse, single.command.reverse) << what;
 }
 
-// ------------------------------------------------- batched == single infer
+/// The reference every eval-kernel result is held to: the classic per-layer
+/// forward (IlPolicy::forward_batch) on a batch of one, post-processed the
+/// way infer() and the batching service do.
+il::Inference classic_inference(il::IlPolicy& policy,
+                                const sense::BevImage& observation) {
+  const nn::Tensor logits = policy.forward_batch(policy.to_input(observation));
+  return il::IlPolicy::inference_from_logits(logits.data(), logits.dim(1));
+}
+
+// ---------------------------------------- batched == classic single forward
 
 TEST(BatchInferencerTest, MatchesSingleInferAcrossScenarioFamilies) {
   il::IlPolicy policy = make_policy();
@@ -69,9 +79,12 @@ TEST(BatchInferencerTest, MatchesSingleInferAcrossScenarioFamilies) {
   service.run_tick();
 
   for (std::size_t i = 0; i < observations.size(); ++i) {
-    const il::Inference single = policy.infer(observations[i]);
+    const il::Inference single = classic_inference(policy, observations[i]);
     expect_same_inference(service.result(slots[i]), single,
                           ("obs " + std::to_string(i)).c_str());
+    // Per-session infer() runs the same eval kernels on a batch of one.
+    expect_same_inference(policy.infer(observations[i]), single,
+                          ("infer obs " + std::to_string(i)).c_str());
   }
 }
 
@@ -91,7 +104,8 @@ TEST(BatchInferencerTest, MatchesSingleInferAtEachBatchSize) {
     EXPECT_EQ(service.stats().batches, 1u);
     EXPECT_EQ(service.stats().max_batch, n);
     for (std::size_t i = 0; i < n; ++i)
-      expect_same_inference(service.result(i), policy.infer(observations[i]),
+      expect_same_inference(service.result(i),
+                            classic_inference(policy, observations[i]),
                             ("batch " + std::to_string(n) + " obs " +
                              std::to_string(i))
                                 .c_str());
@@ -117,7 +131,8 @@ TEST(BatchInferencerTest, RaggedFinalChunkMatchesSingleInfer) {
   EXPECT_DOUBLE_EQ(service.stats().mean_batch(), 18.5);
 
   for (std::size_t i = 0; i < observations.size(); ++i)
-    expect_same_inference(service.result(i), policy.infer(observations[i]),
+    expect_same_inference(service.result(i),
+                            classic_inference(policy, observations[i]),
                           ("obs " + std::to_string(i)).c_str());
 }
 
@@ -234,6 +249,49 @@ TEST(SessionBatchingTest, InterleavedSessionsMatchSoloRuns) {
 
   expect_same_result(sess_a.result(), solo_a.result());
   expect_same_result(sess_b.result(), solo_b.result());
+}
+
+// ------------------------------------------------ the frame clock in traces
+
+/// Every recorded frame of a traced Session carries its wall time, read off
+/// the frame's FrameContext clock by the Session (controllers keep none).
+void expect_timed_trace(const sim::Session& session, const char* what) {
+  const auto& trace = session.result().trace;
+  ASSERT_FALSE(trace.empty()) << what;
+  for (std::size_t i = 0; i < trace.size(); ++i)
+    ASSERT_GT(trace[i].info.solve_ms, 0.0) << what << " frame " << i;
+}
+
+TEST(SessionFrameClockTest, RecordedFramesCarrySolveMs) {
+  il::IlPolicy policy = make_policy();
+  world::ScenarioOptions opt;
+  opt.generator = "canonical";
+  opt.time_limit = 1.0;
+  const world::Scenario scenario = world::make_scenario(opt, 7u);
+  sim::SimConfig config;
+  config.record_trace = true;
+
+  core::CoController co{co::CoPlannerConfig{}, vehicle::VehicleParams{}};
+  core::IlController il(policy);
+  core::IcoilController icoil(core::IcoilConfig(), policy);
+  for (core::Controller* controller :
+       std::vector<core::Controller*>{&co, &il, &icoil}) {
+    sim::Session session(scenario, *controller, 3u, config);
+    while (session.step() == sim::Session::Status::kRunning) {
+    }
+    expect_timed_trace(session, (controller->name() + " step").c_str());
+  }
+
+  il::BatchInferencer service(policy, 32);
+  for (core::Controller* controller :
+       std::vector<core::Controller*>{&il, &icoil}) {
+    sim::Session session(scenario, *controller, 3u, config);
+    while (session.stage(service)) {
+      service.run_tick();
+      session.commit(service);
+    }
+    expect_timed_trace(session, (controller->name() + " stage/commit").c_str());
+  }
 }
 
 }  // namespace

@@ -191,7 +191,8 @@ TEST(IlControllerTest, ProducesDiscretizedCommands) {
   vehicle::State state;
   state.pose = sc.start_pose;
   math::Rng rng(1);
-  const vehicle::Command cmd = controller.act(world, state, rng);
+  FrameContext ctx(rng);
+  const vehicle::Command cmd = controller.act(world, state, ctx);
   // The command is one of the 15 representative commands.
   const int cls = il::ActionDiscretizer::to_class(cmd);
   const vehicle::Command expected = il::ActionDiscretizer::to_command(cls);
@@ -209,7 +210,8 @@ TEST(CoControllerTest, PlansAndDrivesTowardGoal) {
   vehicle::State state;
   state.pose = sc.start_pose;
   math::Rng rng(1);
-  const vehicle::Command cmd = controller.act(world, state, rng);
+  FrameContext ctx(rng);
+  const vehicle::Command cmd = controller.act(world, state, ctx);
   // The reference is planned lazily on the first (budgeted) frame.
   EXPECT_TRUE(controller.planner().has_reference());
   EXPECT_GT(cmd.throttle, 0.0);  // starts moving
@@ -226,7 +228,8 @@ TEST(IcoilControllerTest, StartsInCoAndTracksHsa) {
   vehicle::State state;
   state.pose = sc.start_pose;
   math::Rng rng(1);
-  controller.act(world, state, rng);
+  FrameContext ctx(rng);
+  controller.act(world, state, ctx);
   const FrameInfo& frame = controller.last_frame();
   // Telemetry populated.
   EXPECT_GT(frame.entropy, 0.0);
@@ -248,7 +251,8 @@ TEST(IcoilControllerTest, UntrainedPolicyKeepsCoMode) {
   vehicle::State state;
   state.pose = sc.start_pose;  // spawn region: far from obstacles
   math::Rng rng(1);
-  for (int i = 0; i < 10; ++i) controller.act(world, state, rng);
+  FrameContext ctx(rng);
+  for (int i = 0; i < 10; ++i) controller.act(world, state, ctx);
   EXPECT_EQ(controller.mode(), Mode::kCo);
 }
 
@@ -261,7 +265,8 @@ TEST(IcoilControllerTest, ResetClearsState) {
   vehicle::State state;
   state.pose = sc.start_pose;
   math::Rng rng(1);
-  for (int i = 0; i < 5; ++i) controller.act(world, state, rng);
+  FrameContext ctx(rng);
+  for (int i = 0; i < 5; ++i) controller.act(world, state, ctx);
   controller.reset(sc);
   EXPECT_EQ(controller.hsa().frames(), 0u);
   EXPECT_EQ(controller.mode(), Mode::kCo);

@@ -183,7 +183,7 @@ void expect_eval_matches_classic(IlPolicy& policy, nn::EvalWorkspace& ws,
   // Eval first: reading the classic reference must not refresh anything
   // the eval kernels would otherwise have read stale.
   const nn::Tensor eval = policy.forward_eval(x, ws);
-  const nn::Tensor ref = policy.forward_batch(x, false);
+  const nn::Tensor ref = policy.forward_batch(x);
   ASSERT_EQ(eval.shape(), ref.shape());
   for (std::size_t i = 0; i < ref.size(); ++i)
     ASSERT_EQ(eval[i], ref[i]) << "logit " << i;

@@ -286,8 +286,7 @@ TEST(MissionSessionTest, ExplicitStartCarriesStateAndClock) {
   vehicle::State start;
   start.pose = {{10.0, 9.6}, 0.5};
   start.speed = 1.25;
-  sim::Session session =
-      sim::Session::open(sc, *controller, 7, start, /*world_time=*/12.5);
+  sim::Session session(sc, *controller, 7, start, /*world_time=*/12.5);
 
   EXPECT_EQ(session.frame(), 0u);
   EXPECT_EQ(session.sim_time(), 0.0);

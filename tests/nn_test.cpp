@@ -52,13 +52,13 @@ void check_layer_gradients(Layer& layer, const std::vector<int>& input_shape,
     input[i] = static_cast<float>(rng.normal(0.0, 1.0));
 
   // Fixed projection so L is a scalar function.
-  Tensor out0 = layer.forward(input, /*training=*/true);
+  Tensor out0 = layer.forward(input);
   Tensor proj(out0.shape());
   for (std::size_t i = 0; i < proj.size(); ++i)
     proj[i] = static_cast<float>(rng.normal(0.0, 1.0));
 
   auto loss_of = [&](const Tensor& in) {
-    Tensor out = layer.forward(in, /*training=*/true);
+    Tensor out = layer.forward(in);
     double acc = 0.0;
     for (std::size_t i = 0; i < out.size(); ++i)
       acc += static_cast<double>(out[i]) * proj[i];
@@ -67,7 +67,7 @@ void check_layer_gradients(Layer& layer, const std::vector<int>& input_shape,
 
   // Analytic gradients.
   for (Param* p : layer.params()) p->grad.zero();
-  layer.forward(input, true);
+  layer.forward(input);
   const Tensor grad_in = layer.backward(proj);
 
   // Input gradient check (sample a few coordinates).
@@ -152,7 +152,7 @@ TEST(LayerTest, ConvOutputShapeSamePadding) {
   math::Rng rng(1);
   conv.init(rng);
   Tensor in({2, 3, 16, 16});
-  const Tensor out = conv.forward(in, false);
+  const Tensor out = conv.forward(in);
   EXPECT_EQ(out.shape(), (std::vector<int>{2, 8, 16, 16}));
 }
 
@@ -163,14 +163,14 @@ TEST(LayerTest, ConvKnownKernel) {
   conv.params()[0]->value.at4(0, 0, 1, 1) = 1.0f;  // center tap
   Tensor in({1, 1, 4, 4});
   for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<float>(i);
-  const Tensor out = conv.forward(in, false);
+  const Tensor out = conv.forward(in);
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_FLOAT_EQ(out[i], in[i]);
 }
 
 TEST(LayerTest, ReluClampsNegatives) {
   ReLU relu;
   Tensor in = Tensor::from_data({1, 4}, {-1.0f, 0.0f, 2.0f, -3.0f});
-  const Tensor out = relu.forward(in, false);
+  const Tensor out = relu.forward(in);
   EXPECT_FLOAT_EQ(out[0], 0.0f);
   EXPECT_FLOAT_EQ(out[2], 2.0f);
   EXPECT_FLOAT_EQ(out[3], 0.0f);
@@ -181,7 +181,7 @@ TEST(LayerTest, MaxPoolPicksMaxAndHalvesSize) {
   Tensor in({1, 1, 4, 4});
   in.at4(0, 0, 0, 0) = 5.0f;
   in.at4(0, 0, 2, 3) = 7.0f;
-  const Tensor out = pool.forward(in, false);
+  const Tensor out = pool.forward(in);
   EXPECT_EQ(out.shape(), (std::vector<int>{1, 1, 2, 2}));
   EXPECT_FLOAT_EQ(out.at4(0, 0, 0, 0), 5.0f);
   EXPECT_FLOAT_EQ(out.at4(0, 0, 1, 1), 7.0f);
@@ -190,7 +190,7 @@ TEST(LayerTest, MaxPoolPicksMaxAndHalvesSize) {
 TEST(LayerTest, FlattenRoundTrip) {
   Flatten flat;
   Tensor in({2, 3, 4, 4});
-  const Tensor out = flat.forward(in, true);
+  const Tensor out = flat.forward(in);
   EXPECT_EQ(out.shape(), (std::vector<int>{2, 48}));
   const Tensor back = flat.backward(out);
   EXPECT_EQ(back.shape(), in.shape());
@@ -202,7 +202,7 @@ TEST(LayerTest, SoftmaxRowsSumToOne) {
   Tensor in({4, 6});
   for (std::size_t i = 0; i < in.size(); ++i)
     in[i] = static_cast<float>(rng.normal(0, 3));
-  const Tensor out = sm.forward(in, false);
+  const Tensor out = sm.forward(in);
   for (int r = 0; r < 4; ++r) {
     float sum = 0.0f;
     for (int c = 0; c < 6; ++c) {
@@ -284,7 +284,7 @@ TEST(TrainingTest, SgdReducesLossOnLinearlySeparableData) {
   float first_loss = 0.0f, last_loss = 0.0f;
   for (int epoch = 0; epoch < 60; ++epoch) {
     opt.zero_grad();
-    const Tensor logits = net.forward(x, true);
+    const Tensor logits = net.forward(x);
     const auto ce = CrossEntropyLoss::compute(logits, y);
     net.backward(ce.grad);
     opt.step();
@@ -292,7 +292,7 @@ TEST(TrainingTest, SgdReducesLossOnLinearlySeparableData) {
     last_loss = ce.loss;
   }
   EXPECT_LT(last_loss, first_loss * 0.3f);
-  EXPECT_GT(CrossEntropyLoss::accuracy(net.forward(x, false), y), 0.95);
+  EXPECT_GT(CrossEntropyLoss::accuracy(net.forward(x), y), 0.95);
 }
 
 TEST(TrainingTest, AdamConvergesFasterThanHighLrIsStable) {
@@ -312,7 +312,7 @@ TEST(TrainingTest, AdamConvergesFasterThanHighLrIsStable) {
   float last = 0.0f;
   for (int epoch = 0; epoch < 50; ++epoch) {
     opt.zero_grad();
-    const auto ce = CrossEntropyLoss::compute(net.forward(x, true), y);
+    const auto ce = CrossEntropyLoss::compute(net.forward(x), y);
     net.backward(ce.grad);
     opt.step();
     last = ce.loss;
@@ -337,8 +337,8 @@ TEST(SerializeTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(load_params(b, path));
 
   Tensor x = Tensor::from_data({1, 3}, {0.3f, -0.7f, 1.1f});
-  const Tensor ya = a.forward(x, false);
-  const Tensor yb = b.forward(x, false);
+  const Tensor ya = a.forward(x);
+  const Tensor yb = b.forward(x);
   for (std::size_t i = 0; i < ya.size(); ++i) EXPECT_FLOAT_EQ(ya[i], yb[i]);
   std::filesystem::remove(path);
 }
@@ -363,7 +363,7 @@ TEST(SerializeTest, LoadRejectsMissingFile) {
 // ---------------------------------------------------- forward_eval parity
 
 // The allocation-free eval path promises BIT-identical outputs to
-// forward(., training=false) for every layer — exact equality, no
+// forward(.) for every layer — exact equality, no
 // tolerance.
 Tensor random_tensor(std::vector<int> shape, math::Rng& rng) {
   Tensor t(std::move(shape));
@@ -374,7 +374,7 @@ Tensor random_tensor(std::vector<int> shape, math::Rng& rng) {
 
 void expect_eval_matches_forward(Layer& layer, const Tensor& in,
                                  const char* what) {
-  const Tensor ref = layer.forward(in, false);
+  const Tensor ref = layer.forward(in);
   Tensor out;
   layer.forward_eval(in, out);
   ASSERT_EQ(out.shape(), ref.shape()) << what;
@@ -425,7 +425,7 @@ TEST(EvalPathTest, DenseRepacksAfterTrainingStep) {
 
   // Perturb the weights the way training would (forward+backward), then
   // eval again: the pack must be refreshed, not stale.
-  Tensor up = dense.forward(in, true);
+  Tensor up = dense.forward(in);
   Tensor grad(up.shape());
   for (std::size_t i = 0; i < grad.size(); ++i) grad[i] = 0.25f;
   dense.backward(grad);
@@ -433,7 +433,7 @@ TEST(EvalPathTest, DenseRepacksAfterTrainingStep) {
     for (std::size_t i = 0; i < p->value.size(); ++i)
       p->value[i] -= 0.1f * p->grad[i];
 
-  const Tensor ref = dense.forward(in, false);
+  const Tensor ref = dense.forward(in);
   dense.forward_eval(in, out);
   for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(out[i], ref[i]);
 }
@@ -452,7 +452,7 @@ TEST(EvalPathTest, SequentialMatchesForwardThroughWorkspace) {
   EvalWorkspace ws;
   for (int pass = 0; pass < 3; ++pass) {
     const Tensor in = random_tensor({2, 2, 12, 12}, rng);
-    const Tensor ref = net.forward(in, false);
+    const Tensor ref = net.forward(in);
     const Tensor& out = net.forward_eval(in, ws);
     ASSERT_EQ(out.shape(), ref.shape());
     for (std::size_t i = 0; i < ref.size(); ++i)
