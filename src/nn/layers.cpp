@@ -312,7 +312,7 @@ void Dense::init(math::Rng& rng) {
   for (float& w : weight_.value.vec())
     w = static_cast<float>(rng.uniform(-limit, limit));
   bias_.value.zero();
-  packed_dirty_ = true;
+  packed_version_.reset();
 }
 
 Tensor Dense::forward(const Tensor& input) {
@@ -320,7 +320,7 @@ Tensor Dense::forward(const Tensor& input) {
   cached_input_ = input;
   // A training forward means a weight update is coming: the packed
   // transpose must be rebuilt before the next forward_eval.
-  packed_dirty_ = true;
+  packed_version_.reset();
   Tensor out({n, out_f_});
   for (int b = 0; b < n; ++b) {
     const float* x = input.data() + static_cast<std::size_t>(b) * in_f_;
@@ -342,13 +342,12 @@ void Dense::forward_eval(const Tensor& input, Tensor& out) {
   const int n = input.dim(0);
   out.resize({n, out_f_});
 
-  if (packed_dirty_ || packed_version_ != weight_.version) {
+  if (packed_version_ != weight_.version) {
     packed_wt_.resize(static_cast<std::size_t>(in_f_) * out_f_);
     for (int o = 0; o < out_f_; ++o)
       for (int i = 0; i < in_f_; ++i)
         packed_wt_[static_cast<std::size_t>(i) * out_f_ + o] =
             weight_.value[static_cast<std::size_t>(o) * in_f_ + i];
-    packed_dirty_ = false;
     packed_version_ = weight_.version;
   }
 
@@ -365,7 +364,7 @@ void Dense::forward_eval(const Tensor& input, Tensor& out) {
 
 Tensor Dense::backward(const Tensor& grad_out) {
   const int n = grad_out.dim(0);
-  packed_dirty_ = true;
+  packed_version_.reset();
   Tensor grad_in({n, in_f_});
   for (int b = 0; b < n; ++b) {
     const float* x = cached_input_.data() + static_cast<std::size_t>(b) * in_f_;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "nn/layer.hpp"
 
@@ -90,12 +91,11 @@ class Dense final : public Layer {
   Tensor cached_input_;
   // Transposed (in_f, out_f) copy of weight_ for forward_eval's GEMM: the
   // kernel then vectorizes across output features while each feature's
-  // k-sum stays sequential — the bit-identity requirement. Rebuilt lazily
-  // whenever the weights may have changed: after init, forward or backward
-  // on this layer, or once weight_.version moves past packed_version_.
+  // k-sum stays sequential — the bit-identity requirement. Valid for the
+  // weight_.version it was packed from; init, forward and backward on this
+  // layer drop it too, as a direct weight update may follow them.
   std::vector<float> packed_wt_;
-  bool packed_dirty_ = true;
-  std::uint64_t packed_version_ = 0;
+  std::optional<std::uint64_t> packed_version_;
 };
 
 /// Row-wise softmax over (N, M) logits. Backward assumes the incoming

@@ -32,7 +32,8 @@ namespace icoil::sim {
 /// are counted in EpisodeResult::deadline_hits. That context's clock is the
 /// frame's only stopwatch: with SimConfig::record_trace set, each recorded
 /// frame's FrameInfo::solve_ms is the context's elapsed time read right
-/// after act() (or commit()) returns.
+/// after act() (or commit()) returns. A batched frame's context opens in
+/// stage(), so its time includes the wait for the shared forward.
 class Session {
  public:
   enum class Status { kRunning, kDone };
