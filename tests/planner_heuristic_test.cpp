@@ -12,6 +12,7 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -232,6 +233,50 @@ TEST(PlannerHeuristicTest, DeterministicAcrossRepeatedRuns) {
       EXPECT_EQ((*a)[i].pose.position.y, (*b)[i].pose.position.y);
       EXPECT_EQ((*a)[i].pose.heading, (*b)[i].pose.heading);
     }
+  }
+}
+
+// Golden search effort of the default planner: every counter and the exact
+// solution cost on fixed crowded_lot problems, so a change to the heuristic
+// or the search core that alters node order shows up here, not only as a
+// drifted benchmark number.
+struct PlanGolden {
+  std::uint64_t seed;
+  double density;
+  int expansions, nodes, rs_shot_attempts, heuristic_evals;
+  double solution_cost;
+  std::size_t path_points;
+};
+
+TEST(PlannerHeuristicTest, DefaultPlannerStatsGolden) {
+  const PlanGolden goldens[] = {
+      {300, 1.0, 47, 239, 16, 239, 22.650214710067299, 99},
+      {301, 1.0, 108, 379, 73, 379, 30.821782246905485, 141},
+      {302, 1.0, 86, 356, 29, 356, 25.537305647025182, 114},
+      {303, 1.0, 638, 1880, 377, 1880, 40.697536110003249, 188},
+      {300, 4.0, 25, 113, 15, 113, 21.340842589637482, 91},
+  };
+  const HybridAStar astar(HybridAStarConfig{}, vehicle::VehicleParams{});
+  for (const PlanGolden& want : goldens) {
+    world::ScenarioOptions opts;
+    opts.generator = "crowded_lot";
+    if (want.density != 1.0) opts.params.set("density", want.density);
+    const PlanProblem p =
+        static_problem(world::make_scenario(opts, want.seed));
+    PlanStats stats;
+    const auto path = astar.plan(p.start, p.goal, p.obstacles, p.bounds,
+                                 nullptr, nullptr, &stats);
+    ASSERT_TRUE(path.has_value()) << "seed " << want.seed;
+    const std::string at = "seed " + std::to_string(want.seed) +
+                           " density " + std::to_string(want.density);
+    EXPECT_EQ(stats.expansions, want.expansions) << at;
+    EXPECT_EQ(stats.nodes, want.nodes) << at;
+    EXPECT_EQ(stats.rs_shot_attempts, want.rs_shot_attempts) << at;
+    EXPECT_EQ(stats.heuristic_evals, want.heuristic_evals) << at;
+    EXPECT_TRUE(stats.solved_by_shot) << at;
+    // 17 significant digits round-trip a double exactly.
+    EXPECT_EQ(stats.solution_cost, want.solution_cost) << at;
+    EXPECT_EQ(path->size(), want.path_points) << at;
   }
 }
 
