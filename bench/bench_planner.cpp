@@ -1,22 +1,20 @@
-// Planner-heuristic ablation: hybrid-A* under every heuristic mode
-// (euclid-rs | lut | dijkstra | max) across the scenario generator
-// families, with crowded_lot additionally swept over clutter density.
-// Each cell also runs `legacy` — the frozen pre-refactor planner
-// (bench/legacy_planner.hpp) — as the speedup reference, so the euclid-rs
-// row isolates the search-core restructure and the cached rows add the
-// heuristic effect on top. Three measurements per (family, density, mode):
+// Planner bench: the default hybrid-A* planner across the scenario
+// generator families, with crowded_lot additionally swept over clutter
+// density. Each cell also runs `legacy` — the frozen pre-refactor planner
+// (bench/legacy_planner.hpp) — as the speedup and success reference. Three
+// measurements per (family, density, planner):
 //
 //   1. Plan wall time over a fixed seed set (mean/max ms) plus the search
 //      counters (expansions and RS-shot attempts per plan).
-//   2. Success parity: every scenario the legacy planner or the euclid-rs
-//      baseline solves must still be solved by every other mode — the
-//      cached heuristics change node order, not completeness, so a drop is
-//      a bug (the CI gate).
+//   2. Success parity: every scenario the legacy planner solves must still
+//      be solved by the current planner — its cached heuristic and search
+//      core change node order, not completeness, so a drop is a bug (the
+//      CI gate).
 //   3. Deadline-hit rate: an optional second pass re-plans each scenario
 //      under a core::FrameContext budget and counts tripped frames.
 //
-// Results land in the `planner` block of a sim::RunReport; `speedup` is
-// each mode's mean plan time relative to the legacy planner on the cell.
+// Results land in the `planner` block of a sim::RunReport; `speedup` is the
+// legacy planner's mean plan time on the cell divided by the planner's.
 //
 // The flags are declared once in main(); a bad argument prints them all.
 // Exit codes: 0 ok, 1 success-parity failure, 2 usage error, 3 I/O error.
@@ -30,14 +28,12 @@
 
 #include "driver.hpp"
 #include "legacy_planner.hpp"
-#include "co/heuristic.hpp"
 #include "co/hybrid_astar.hpp"
 #include "mathkit/rng.hpp"
 #include "mathkit/table.hpp"
 #include "sim/evaluator.hpp"
 #include "sim/report.hpp"
 #include "sim/suite.hpp"
-#include "world/distance_field.hpp"
 #include "world/scenario.hpp"
 
 namespace {
@@ -48,14 +44,14 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// One planning problem: the scenario's statics, bounds and start/goal,
-/// plus the distance field the production co::Planner would query (the
-/// bench mirrors the real collision path, not the analytic-only fallback).
+/// One planning problem: the scenario's statics, bounds and start/goal.
+/// Both planners run without a collision distance field, as the library
+/// controllers do under the default analytic collision backend (World has
+/// no field there, so CoController hands hybrid A* a null one).
 struct Problem {
   icoil::geom::Pose2 start, goal;
   std::vector<icoil::geom::Obb> obstacles;
   icoil::geom::Aabb bounds;
-  icoil::world::DistanceField field;
 };
 
 Problem make_problem(const icoil::world::Scenario& scenario) {
@@ -65,137 +61,121 @@ Problem make_problem(const icoil::world::Scenario& scenario) {
   p.bounds = scenario.map.bounds;
   for (const icoil::world::Obstacle& o : scenario.obstacles)
     if (!o.dynamic()) p.obstacles.push_back(o.shape);
-  p.field = icoil::world::DistanceField(p.bounds, p.obstacles);
   return p;
 }
 
-struct ModeResult {
+struct PlannerResult {
   icoil::sim::PlannerFamilyRow row;
   std::vector<bool> solved;  ///< per problem index
 };
 
-double g_lut_res = 0.0;   ///< --lut-res override (0 = planner default)
-int g_lut_bins = 0;       ///< --lut-bins override (0 = planner default)
+/// The outcome and search effort of one plan, whichever planner ran it.
+struct Effort {
+  bool solved = false;
+  int expansions = 0;
+  int rs_shots = 0;
+  double cost = 0.0;  ///< solution cost; meaningful when solved
+};
+
 int g_reps = 3;           ///< --reps: timing repetitions per plan
 bool g_per_plan = false;  ///< --per-plan: dump per-scenario lines to stderr
 
-ModeResult run_mode(const std::vector<Problem>& problems,
-                    icoil::co::HeuristicMode mode, double deadline_ms) {
+/// Times `plan` (Problem -> Effort) over every problem and fills the row's
+/// timing and effort means under the name `name`.
+template <class Plan>
+PlannerResult time_planner(const std::vector<Problem>& problems,
+                           const char* name, const Plan& plan) {
+  PlannerResult out;
+  double total_ms = 0.0, max_ms = 0.0;
+  double total_exp = 0.0, total_shots = 0.0, total_cost = 0.0;
+  for (const Problem& p : problems) {
+    Effort effort;
+    double ms = 0.0;
+    // Both planners are deterministic, so every rep does identical work:
+    // the minimum is the run least perturbed by the scheduler.
+    for (int rep = 0; rep < g_reps; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      effort = plan(p);
+      const double rep_ms = ms_since(t0);
+      ms = rep == 0 ? rep_ms : std::min(ms, rep_ms);
+    }
+    if (g_per_plan)
+      std::fprintf(stderr, "[plan] %-9s #%zu %s %.2f ms exp %d shots %d\n",
+                   name, out.solved.size(), effort.solved ? "ok  " : "FAIL",
+                   ms, effort.expansions, effort.rs_shots);
+    total_ms += ms;
+    max_ms = std::max(max_ms, ms);
+    total_exp += effort.expansions;
+    total_shots += effort.rs_shots;
+    if (effort.solved) total_cost += effort.cost;
+    out.solved.push_back(effort.solved);
+    if (effort.solved) ++out.row.solved;
+    ++out.row.plans;
+  }
+
+  const int n = out.row.plans;
+  out.row.heuristic = name;
+  out.row.plan_ms_mean = n > 0 ? total_ms / n : 0.0;
+  out.row.plan_ms_max = max_ms;
+  out.row.expansions_mean = n > 0 ? total_exp / n : 0.0;
+  out.row.rs_shots_mean = n > 0 ? total_shots / n : 0.0;
+  out.row.path_cost_mean = out.row.solved > 0 ? total_cost / out.row.solved : 0.0;
+  return out;
+}
+
+/// The default hybrid-A* planner, plus the optional budgeted pass. The row
+/// keeps the name of its heuristic, max(euclidean, RS table, Dijkstra).
+PlannerResult run_planner(const std::vector<Problem>& problems,
+                          double deadline_ms) {
   using namespace icoil;
-  ModeResult out;
-  co::HybridAStarConfig config;
-  config.heuristic = mode;
-  if (g_lut_res > 0.0) config.lut_xy_resolution = g_lut_res;
-  if (g_lut_bins > 0) config.lut_heading_bins = g_lut_bins;
-  const co::HybridAStar astar(config, vehicle::VehicleParams{});
+  const co::HybridAStar astar(co::HybridAStarConfig{}, vehicle::VehicleParams{});
 
   // Warm pass: pays the one-time shared-LUT build (and touches the code
   // paths) outside the timed loop, as a long-lived process would.
   if (!problems.empty()) {
     const Problem& w = problems.front();
-    (void)astar.plan(w.start, w.goal, w.obstacles, w.bounds, nullptr,
-                     &w.field);
+    (void)astar.plan(w.start, w.goal, w.obstacles, w.bounds);
   }
 
-  double total_ms = 0.0, max_ms = 0.0;
-  double total_exp = 0.0, total_shots = 0.0, total_cost = 0.0;
-  for (const Problem& p : problems) {
+  PlannerResult out = time_planner(problems, "max", [&](const Problem& p) {
     co::PlanStats stats;
-    bool solved = false;
-    double ms = 0.0;
-    // The planner is deterministic, so every rep does identical work: the
-    // minimum is the run least perturbed by the scheduler.
-    for (int rep = 0; rep < g_reps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto path = astar.plan(p.start, p.goal, p.obstacles, p.bounds,
-                                   nullptr, &p.field, &stats);
-      const double rep_ms = ms_since(t0);
-      ms = rep == 0 ? rep_ms : std::min(ms, rep_ms);
-      solved = path.has_value();
-    }
-    if (g_per_plan)
-      std::fprintf(stderr, "[plan] %-9s #%zu %s %.2f ms exp %d shots %d\n",
-                   co::to_string(mode), out.solved.size(),
-                   solved ? "ok  " : "FAIL", ms, stats.expansions,
-                   stats.rs_shot_attempts);
-    total_ms += ms;
-    max_ms = std::max(max_ms, ms);
-    total_exp += stats.expansions;
-    total_shots += stats.rs_shot_attempts;
-    if (solved) total_cost += stats.solution_cost;
-    out.solved.push_back(solved);
-    if (solved) ++out.row.solved;
-    ++out.row.plans;
-  }
+    const bool solved = astar.plan(p.start, p.goal, p.obstacles, p.bounds,
+                                   nullptr, nullptr, &stats)
+                            .has_value();
+    return Effort{solved, stats.expansions, stats.rs_shot_attempts,
+                  stats.solution_cost};
+  });
 
   // Budgeted pass: same problems under a per-frame deadline; count plans
   // that tripped it (returned early without a path).
   if (deadline_ms > 0.0) {
     out.row.deadline_ms = deadline_ms;
     math::Rng rng(42);
-    for (std::size_t i = 0; i < problems.size(); ++i) {
-      const Problem& p = problems[i];
+    for (const Problem& p : problems) {
       core::FrameContext frame(rng, nullptr, deadline_ms);
-      const auto path = astar.plan(p.start, p.goal, p.obstacles, p.bounds,
-                                   &frame, &p.field);
+      const auto path =
+          astar.plan(p.start, p.goal, p.obstacles, p.bounds, &frame);
       if (!path.has_value() && frame.deadline_hit()) ++out.row.deadline_hits;
     }
   }
-
-  const int n = out.row.plans;
-  out.row.heuristic = co::to_string(mode);
-  out.row.plan_ms_mean = n > 0 ? total_ms / n : 0.0;
-  out.row.plan_ms_max = max_ms;
-  out.row.expansions_mean = n > 0 ? total_exp / n : 0.0;
-  out.row.rs_shots_mean = n > 0 ? total_shots / n : 0.0;
-  out.row.path_cost_mean = out.row.solved > 0 ? total_cost / out.row.solved : 0.0;
   return out;
 }
 
-/// The pre-refactor planner on the same problems: the speedup denominator.
-/// No budgeted pass — the legacy loop predates stats/deadline plumbing and
-/// is kept byte-for-byte faithful instead.
-ModeResult run_legacy(const std::vector<Problem>& problems) {
+/// The pre-refactor planner on the same problems: the speedup denominator
+/// and success reference. No budgeted pass — the legacy loop predates
+/// stats/deadline plumbing and is kept byte-for-byte faithful instead.
+PlannerResult run_legacy(const std::vector<Problem>& problems) {
   using namespace icoil;
-  ModeResult out;
-  const co::HybridAStarConfig config;  // planner defaults, heuristic unused
+  const co::HybridAStarConfig config;  // planner defaults
   const vehicle::VehicleParams params;
-
-  double total_ms = 0.0, max_ms = 0.0;
-  double total_exp = 0.0, total_shots = 0.0, total_cost = 0.0;
-  for (const Problem& p : problems) {
+  return time_planner(problems, "legacy", [&](const Problem& p) {
     bench::LegacyStats stats;
-    bool solved = false;
-    double ms = 0.0;
-    for (int rep = 0; rep < g_reps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      solved = bench::legacy_plan(config, params, p.start, p.goal, p.obstacles,
-                                  p.bounds, &p.field, &stats);
-      const double rep_ms = ms_since(t0);
-      ms = rep == 0 ? rep_ms : std::min(ms, rep_ms);
-    }
-    if (g_per_plan)
-      std::fprintf(stderr, "[plan] %-9s #%zu %s %.2f ms exp %d shots %d\n",
-                   "legacy", out.solved.size(), solved ? "ok  " : "FAIL", ms,
-                   stats.expansions, stats.rs_shot_attempts);
-    total_ms += ms;
-    max_ms = std::max(max_ms, ms);
-    total_exp += stats.expansions;
-    total_shots += stats.rs_shot_attempts;
-    if (solved) total_cost += stats.solution_cost;
-    out.solved.push_back(solved);
-    if (solved) ++out.row.solved;
-    ++out.row.plans;
-  }
-
-  const int n = out.row.plans;
-  out.row.heuristic = "legacy";
-  out.row.plan_ms_mean = n > 0 ? total_ms / n : 0.0;
-  out.row.plan_ms_max = max_ms;
-  out.row.expansions_mean = n > 0 ? total_exp / n : 0.0;
-  out.row.rs_shots_mean = n > 0 ? total_shots / n : 0.0;
-  out.row.path_cost_mean = out.row.solved > 0 ? total_cost / out.row.solved : 0.0;
-  return out;
+    const bool solved = bench::legacy_plan(config, params, p.start, p.goal,
+                                           p.obstacles, p.bounds, nullptr,
+                                           &stats);
+    return Effort{solved, stats.expansions, stats.rs_shot_attempts,
+                  stats.solution_cost};
+  });
 }
 
 }  // namespace
@@ -217,7 +197,7 @@ int main(int argc, char** argv) {
   bench::Flags flags("bench_planner");
   flags.value("--plans", &plans, "N",
               "scenarios per (family, density) cell (default 10)", above(0))
-      // The planner is deterministic, so spread across reps is scheduler
+      // The planners are deterministic, so spread across reps is scheduler
       // noise, not work: the per-plan time is the minimum of K runs.
       .value("--reps", &g_reps, "K",
              "timing repetitions per plan, minimum taken (default 3)",
@@ -228,10 +208,6 @@ int main(int argc, char** argv) {
             "crowded_lot clutter multipliers (default 1,4)", above(0))
       .value("--frame-deadline-ms", &deadline_ms, "X",
              "budgeted-pass deadline (default 50; 0 = skip)", at_least(0))
-      .value("--lut-res", &g_lut_res, "X",
-             "override HybridAStarConfig::lut_xy_resolution", above(0))
-      .value("--lut-bins", &g_lut_bins, "N",
-             "override HybridAStarConfig::lut_heading_bins", above(0))
       .value("--report", &out.path, "PATH", "write the RunReport JSON artifact")
       .flag("--per-plan", &g_per_plan, "print one line per plan to stderr")
       .flag("--quick", &quick, "smoke mode: 3 plans, no budgeted pass");
@@ -244,13 +220,10 @@ int main(int argc, char** argv) {
   }
 
   constexpr std::uint64_t kScenarioSeed = 300;
-  const std::vector<co::HeuristicMode> modes = {
-      co::HeuristicMode::kEuclidRs, co::HeuristicMode::kLut,
-      co::HeuristicMode::kDijkstra, co::HeuristicMode::kMax};
 
   sim::PlannerStats stats;
   bool parity_ok = true;
-  math::TextTable table({"family", "density", "heuristic", "solved",
+  math::TextTable table({"family", "density", "planner", "solved",
                          "plan [ms]", "max [ms]", "expansions", "rs shots",
                          "cost", "speedup", "ddl hits"});
 
@@ -270,7 +243,7 @@ int main(int argc, char** argv) {
         problems.push_back(make_problem(
             world::make_scenario(cell.options(), kScenarioSeed + s)));
 
-      auto emit = [&](ModeResult& r, bool is_reference) {
+      auto emit = [&](PlannerResult& r, bool is_reference) {
         r.row.generator = family;
         r.row.density = density;
         stats.rows.push_back(r.row);
@@ -287,46 +260,33 @@ int main(int argc, char** argv) {
              r.row.deadline_ms > 0.0 ? std::to_string(r.row.deadline_hits)
                                      : "-"});
       };
-      auto check_parity = [&](const std::vector<bool>& ref_solved,
-                              const char* ref_name, const ModeResult& r) {
-        for (std::size_t s = 0; s < ref_solved.size(); ++s) {
-          if (ref_solved[s] && !r.solved[s]) {
-            parity_ok = false;
-            std::fprintf(stderr,
-                         "[planner] PARITY: %s density %.1f seed %llu "
-                         "solved by %s but not by %s\n",
-                         family.c_str(), density,
-                         static_cast<unsigned long long>(kScenarioSeed + s),
-                         ref_name, r.row.heuristic.c_str());
-          }
-        }
-      };
-
-      ModeResult legacy = run_legacy(problems);
-      const double legacy_ms = legacy.row.plan_ms_mean;
+      PlannerResult legacy = run_legacy(problems);
       emit(legacy, /*is_reference=*/true);
 
-      std::vector<bool> baseline_solved;
-      for (const co::HeuristicMode mode : modes) {
-        ModeResult r = run_mode(problems, mode, deadline_ms);
-        r.row.speedup =
-            r.row.plan_ms_mean > 0.0 ? legacy_ms / r.row.plan_ms_mean : 0.0;
-        // Success parity: every scenario the pre-refactor planner solves
-        // must stay solved; cached modes must also keep everything the
-        // euclid-rs baseline solves.
-        check_parity(legacy.solved, "legacy", r);
-        if (mode == co::HeuristicMode::kEuclidRs)
-          baseline_solved = r.solved;
-        else
-          check_parity(baseline_solved, "euclid-rs", r);
-        emit(r, /*is_reference=*/false);
+      PlannerResult r = run_planner(problems, deadline_ms);
+      r.row.speedup = r.row.plan_ms_mean > 0.0
+                          ? legacy.row.plan_ms_mean / r.row.plan_ms_mean
+                          : 0.0;
+      // Success parity: every scenario the pre-refactor planner solves must
+      // stay solved.
+      for (std::size_t i = 0; i < legacy.solved.size(); ++i) {
+        if (legacy.solved[i] && !r.solved[i]) {
+          parity_ok = false;
+          std::fprintf(stderr,
+                       "[planner] PARITY: %s density %.1f seed %llu "
+                       "solved by legacy but not by %s\n",
+                       family.c_str(), density,
+                       static_cast<unsigned long long>(kScenarioSeed + i),
+                       r.row.heuristic.c_str());
+        }
       }
-      std::fprintf(stderr, "[planner] %s density %.1fx done (%d plans/mode)\n",
+      emit(r, /*is_reference=*/false);
+      std::fprintf(stderr, "[planner] %s density %.1fx done (%d plans)\n",
                    family.c_str(), density, plans);
     }
   }
 
-  std::printf("\nPlanner heuristic ablation — %d plans per cell, "
+  std::printf("\nHybrid-A* vs the legacy planner — %d plans per cell, "
               "budgeted pass %s\n\n",
               plans,
               deadline_ms > 0.0
@@ -343,7 +303,7 @@ int main(int argc, char** argv) {
 
   if (!parity_ok)
     std::fprintf(stderr,
-                 "bench_planner: FAIL — a cached heuristic lost a scenario "
-                 "the euclid-rs baseline solves\n");
+                 "bench_planner: FAIL — the planner lost a scenario the "
+                 "legacy planner solves\n");
   return bench::finish("bench_planner", report, out, parity_ok);
 }

@@ -42,9 +42,6 @@ int main(int argc, char** argv) {
              "static-collision backend: analytic | grid")
       .value("--grid-resolution", &opts.grid_resolution, "X",
              "grid backend cell size [m]", above(0))
-      .value("--planner-heuristic", &opts.planner_heuristic, "NAME",
-             "hybrid-A* heuristic for CO-backed methods: euclid-rs | lut | "
-             "dijkstra | max (default max)")
       .value("--report", &opts.report.path, "PATH",
              "write the RunReport JSON artifact")
       .value("--baseline", &opts.report.baseline_path, "PATH",

@@ -70,10 +70,19 @@ void BM_ReedsSheppShortest(benchmark::State& state) {
 }
 BENCHMARK(BM_ReedsSheppShortest)->Unit(benchmark::kMicrosecond);
 
+// The full search on two fixed problems: 0 = the canonical easy lot,
+// 1 = the dense (4x clutter) crowded_lot cell bench_planner also sweeps.
 void BM_HybridAStarPlan(benchmark::State& state) {
   world::ScenarioOptions options;
+  std::uint64_t seed = 500;
   options.difficulty = world::Difficulty::kEasy;
-  const world::Scenario sc = world::make_scenario(options, 500);
+  if (state.range(0) == 1) {
+    options.generator = "crowded_lot";
+    options.difficulty = world::Difficulty::kNormal;
+    options.params.set("density", 4.0);
+    seed = 300;
+  }
+  const world::Scenario sc = world::make_scenario(options, seed);
   std::vector<geom::Obb> obstacles;
   for (const auto& o : sc.obstacles)
     if (!o.dynamic()) obstacles.push_back(o.shape);
@@ -88,7 +97,7 @@ void BM_HybridAStarPlan(benchmark::State& state) {
                                         obstacles, sc.map.bounds));
   }
 }
-BENCHMARK(BM_HybridAStarPlan)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HybridAStarPlan)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // --- Planner heuristic substrates ---------------------------------------
 // BM_RsLutValue vs BM_ReedsSheppShortest is the core trade of the cached
@@ -124,39 +133,6 @@ void BM_DijkstraCostMapBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DijkstraCostMapBuild)->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond);
-
-// The full search under each heuristic mode (0 = euclid-rs, 1 = lut,
-// 2 = dijkstra, 3 = max) on the dense crowded_lot cell — the ablation the
-// planner bench runs, reduced to one trackable number per mode.
-void BM_HybridAStarHeuristic(benchmark::State& state) {
-  sim::SuiteCell cell;
-  cell.generator = "crowded_lot";
-  cell.difficulty = world::Difficulty::kNormal;
-  cell.params.set("density", 4.0);
-  const world::Scenario sc = world::make_scenario(cell.options(), 300);
-  std::vector<geom::Obb> obstacles;
-  for (const auto& o : sc.obstacles)
-    if (!o.dynamic()) obstacles.push_back(o.shape);
-  co::HybridAStarConfig config;
-  config.heuristic = static_cast<co::HeuristicMode>(state.range(0));
-  state.SetLabel(co::to_string(config.heuristic));
-  const world::DistanceField field(sc.map.bounds, obstacles);
-  const co::HybridAStar astar(config, vehicle::VehicleParams{});
-  // Pay the one-time shared-LUT build outside the timed loop.
-  (void)astar.plan(sc.start_pose, sc.map.goal_pose, obstacles, sc.map.bounds,
-                   nullptr, &field);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(astar.plan(sc.start_pose, sc.map.goal_pose,
-                                        obstacles, sc.map.bounds, nullptr,
-                                        &field));
-  }
-}
-BENCHMARK(BM_HybridAStarHeuristic)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3)
-    ->Unit(benchmark::kMillisecond);
 
 // Static clearance through both collision backends at growing obstacle
 // count: the analytic OBB narrow phase scans every box, the grid backend

@@ -37,9 +37,6 @@ struct RunSuiteOptions {
   /// Static-collision backend name ("analytic" | "grid"); "" = analytic.
   std::string collision_backend;
   double grid_resolution = 0.0;    ///< grid cell size [m]; <=0 = default
-  /// Hybrid-A* heuristic mode for CO-backed methods
-  /// ("euclid-rs" | "lut" | "dijkstra" | "max"); "" = the planner default.
-  std::string planner_heuristic;
   /// Pool-level abort token (typically tripped by a SIGINT handler): when it
   /// cancels mid-run, evaluation drains promptly and the partial report is
   /// still written, flagged meta.aborted.
@@ -164,23 +161,6 @@ inline int run_suite_command(const std::string& which, RunSuiteOptions opts) {
     std::string name;
     core::ControllerFactory factory;
   };
-  // Planner-heuristic override: threaded to every CO-backed method as a
-  // BASE config override (variant specs like co-fast still apply their own
-  // tweaks on top), and recorded in SimConfig for the fingerprint.
-  co::HeuristicMode heuristic = co::HeuristicMode::kMax;
-  if (!opts.planner_heuristic.empty() &&
-      !co::parse_heuristic_mode(opts.planner_heuristic, &heuristic)) {
-    std::fprintf(stderr,
-                 "bench_suite: unknown planner heuristic \"%s\" "
-                 "(expected euclid-rs|lut|dijkstra|max)\n",
-                 opts.planner_heuristic.c_str());
-    return 2;
-  }
-  co::CoPlannerConfig co_override;
-  core::IcoilConfig icoil_override;
-  co_override.astar.heuristic = heuristic;
-  icoil_override.co.astar.heuristic = heuristic;
-
   const auto& registry = core::ControllerRegistry::instance();
   std::unique_ptr<il::IlPolicy> policy;
   std::vector<Method> methods;
@@ -194,10 +174,6 @@ inline int run_suite_command(const std::string& which, RunSuiteOptions opts) {
       return 2;
     }
     core::ControllerBuildArgs args;
-    if (!opts.planner_heuristic.empty()) {
-      args.co = &co_override;
-      args.icoil = &icoil_override;
-    }
     if (spec->needs_policy) {
       if (!policy) policy = shared_policy();
       args.policy = policy.get();
@@ -222,7 +198,6 @@ inline int run_suite_command(const std::string& which, RunSuiteOptions opts) {
   }
   if (opts.grid_resolution > 0.0)
     eval_config.sim.grid_resolution = opts.grid_resolution;
-  eval_config.sim.planner_heuristic = heuristic;
   sim::Evaluator evaluator(eval_config);
 
   sim::RunReport report;

@@ -15,36 +15,6 @@
 
 namespace icoil::co {
 
-const char* to_string(HeuristicMode mode) {
-  switch (mode) {
-    case HeuristicMode::kEuclidRs: return "euclid-rs";
-    case HeuristicMode::kLut: return "lut";
-    case HeuristicMode::kDijkstra: return "dijkstra";
-    case HeuristicMode::kMax: return "max";
-  }
-  return "?";
-}
-
-bool parse_heuristic_mode(const std::string& name, HeuristicMode* out) {
-  if (name == "euclid-rs") {
-    *out = HeuristicMode::kEuclidRs;
-    return true;
-  }
-  if (name == "lut") {
-    *out = HeuristicMode::kLut;
-    return true;
-  }
-  if (name == "dijkstra") {
-    *out = HeuristicMode::kDijkstra;
-    return true;
-  }
-  if (name == "max") {
-    *out = HeuristicMode::kMax;
-    return true;
-  }
-  return false;
-}
-
 RsHeuristicLut::RsHeuristicLut(const RsLutSpec& spec) : spec_(spec) {
   spec_.xy_resolution = std::max(1e-2, spec_.xy_resolution);
   spec_.extent = std::max(spec_.xy_resolution, spec_.extent);
@@ -249,8 +219,8 @@ DijkstraCostMap::DijkstraCostMap(const world::DistanceField& field,
   // 82 = floor(58 * sqrt(2)), integer distances can only UNDERSHOOT the
   // exact octile distance (by < 0.04%) — slightly less tight, never
   // inadmissible — and monotone integer keys turn the O(log n) heap into
-  // O(1) circular buckets. This build cost is what the `max` heuristic
-  // pays on every plan() call, so it matters. Distances are exact integer
+  // O(1) circular buckets. Every hybrid-A* plan() call pays this build, so
+  // it matters. Distances are exact integer
   // sums, so the sweep is deterministic regardless of platform.
   constexpr std::int32_t kStraightTicks = 58;
   constexpr std::int32_t kDiagTicks = 82;  // floor(58 * sqrt(2))

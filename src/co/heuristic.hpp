@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "geom/pose2.hpp"
@@ -9,23 +8,6 @@
 #include "world/distance_field.hpp"
 
 namespace icoil::co {
-
-/// Which lower bound guides the hybrid-A* search.
-///  kEuclidRs — max(euclidean, exact Reeds-Shepp solve) per evaluation: the
-///              historical heuristic; a full RS word search on every push.
-///  kLut      — max(euclidean, RsHeuristicLut lookup): the RS term served
-///              from a precomputed goal-relative table, O(1) per eval.
-///  kDijkstra — max(euclidean, DijkstraCostMap cost-to-go): obstacle-aware
-///              holonomic bound; sees dead ends the RS term cannot.
-///  kMax      — max of all three terms (LUT + Dijkstra + euclidean): still
-///              admissible (max of lower bounds), dominates every other
-///              mode in informativeness. The default.
-enum class HeuristicMode { kEuclidRs, kLut, kDijkstra, kMax };
-
-const char* to_string(HeuristicMode mode);
-/// Parses "euclid-rs" / "lut" / "dijkstra" / "max"; false (out untouched)
-/// for anything else.
-bool parse_heuristic_mode(const std::string& name, HeuristicMode* out);
 
 /// Cache key of a Reeds-Shepp heuristic table: the RS turning radius plus
 /// the lattice geometry. Tables are immutable once built, so planners with

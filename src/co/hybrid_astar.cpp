@@ -170,42 +170,30 @@ std::optional<RefPath> HybridAStar::plan(const geom::Pose2& start,
   // Broad-phase cache: every expansion probes the same obstacle set.
   const geom::ObbSet obstacle_set(obstacles);
 
-  // Heuristic terms per the configured mode. The Dijkstra sweep always runs
-  // over a raster built HERE from the raw obstacles (never the caller's
-  // collision `field`, whose presence and resolution depend on the
-  // collision backend) — the heuristic, and so the returned path, must be
-  // identical under every backend.
-  const HeuristicMode mode = config_.heuristic;
-  const bool use_exact_rs = mode == HeuristicMode::kEuclidRs;
-  const bool use_lut =
-      mode == HeuristicMode::kLut || mode == HeuristicMode::kMax;
-  const bool use_dijkstra =
-      mode == HeuristicMode::kDijkstra || mode == HeuristicMode::kMax;
-
-  std::shared_ptr<const RsHeuristicLut> lut;
+  // Heuristic terms: euclidean, the shared RS tables and the Dijkstra
+  // cost-to-go. The Dijkstra sweep always runs over a raster built HERE
+  // from the raw obstacles (never the caller's collision `field`, whose
+  // presence and resolution depend on the collision backend) — the
+  // heuristic, and so the returned path, must be identical under every
+  // backend.
+  const std::shared_ptr<const RsHeuristicLut> lut = RsHeuristicLut::shared(
+      {radius, config_.lut_xy_resolution, config_.lut_extent,
+       config_.lut_heading_bins});
   std::shared_ptr<const RsHeuristicLut> lut_fine;
-  if (use_lut) {
-    lut = RsHeuristicLut::shared({radius, config_.lut_xy_resolution,
-                                  config_.lut_extent,
-                                  config_.lut_heading_bins});
-    if (config_.lut_fine_extent > 0.0)
-      lut_fine = RsHeuristicLut::shared({radius, config_.lut_fine_xy_resolution,
-                                         config_.lut_fine_extent,
-                                         config_.lut_fine_heading_bins});
-  }
-  std::optional<DijkstraCostMap> costmap;
-  if (use_dijkstra) {
-    // Disc the footprint is guaranteed to cover around the rear axle, plus
-    // the same margin pose_free inflates by: cells the sweep blocks are
-    // provably untraversable, so the cost-to-go stays a lower bound.
-    const double axle_disc =
-        std::min(params_.width / 2.0,
-                 params_.length / 2.0 - std::abs(params_.center_offset)) +
-        config_.obstacle_margin;
-    const world::DistanceField costmap_field(bounds, obstacles,
-                                             config_.costmap_resolution);
-    costmap.emplace(costmap_field, goal.position, axle_disc);
-  }
+  if (config_.lut_fine_extent > 0.0)
+    lut_fine = RsHeuristicLut::shared({radius, config_.lut_fine_xy_resolution,
+                                       config_.lut_fine_extent,
+                                       config_.lut_fine_heading_bins});
+  // Disc the footprint is guaranteed to cover around the rear axle, plus
+  // the same margin pose_free inflates by: cells the sweep blocks are
+  // provably untraversable, so the cost-to-go stays a lower bound.
+  const double axle_disc =
+      std::min(params_.width / 2.0,
+               params_.length / 2.0 - std::abs(params_.center_offset)) +
+      config_.obstacle_margin;
+  const DijkstraCostMap costmap(
+      world::DistanceField(bounds, obstacles, config_.costmap_resolution),
+      goal.position, axle_disc);
 
   // The RS-table term only applies OUTSIDE the analytic-expansion disc.
   // Inside it the RS shot fires on every pop, so near-goal ordering
@@ -221,20 +209,14 @@ std::optional<RefPath> HybridAStar::plan(const geom::Pose2& start,
     const double dy = p.position.y - goal.position.y;
     const double dist_sq = dx * dx + dy * dy;
     double h = std::sqrt(dist_sq);
-    if (use_exact_rs) {
-      const auto path = rs.shortest_path(p, goal);
-      if (path) h = std::max(h, rs.length(*path));
-    }
-    if (use_lut && dist_sq > lut_gate_sq) {
+    if (dist_sq > lut_gate_sq) {
       const geom::Vec2 rel = goal.to_local(p.position);
       const double dth = p.heading - goal.heading;
       h = std::max(h, lut->value_rel(rel.x, rel.y, dth));
       if (lut_fine) h = std::max(h, lut_fine->value_rel(rel.x, rel.y, dth));
     }
-    if (use_dijkstra) {
-      const double d = costmap->cost_to_go(p.position);
-      if (d > h) h = d;
-    }
+    const double d = costmap.cost_to_go(p.position);
+    if (d > h) h = d;
     return h;
   };
 

@@ -51,12 +51,9 @@ struct HybridAStarConfig {
   double steer_fraction = 0.8;
   double rs_radius_factor = 1.35;
 
-  /// Which lower bound guides the search (see co/heuristic.hpp). kMax — the
-  /// cached RS table max'd with the obstacle-aware Dijkstra sweep — is both
-  /// the cheapest per evaluation and the most informed; kEuclidRs keeps the
-  /// historical exact-RS-per-push behaviour for the ablation.
-  HeuristicMode heuristic = HeuristicMode::kMax;
-  /// Lattice of the shared Reeds-Shepp table (see RsLutSpec).
+  /// The search heuristic is max(euclidean, Reeds-Shepp table lookup,
+  /// Dijkstra cost-to-go): a max of admissible lower bounds (see
+  /// co/heuristic.hpp). Lattice of the shared Reeds-Shepp table (RsLutSpec).
   double lut_xy_resolution = 0.7;
   /// Beyond the extent the table defers to the euclidean floor — far from
   /// the goal RS length converges to it anyway. 24 m covers every lot.
@@ -82,7 +79,7 @@ struct HybridAStarConfig {
   int rs_shot_period = 8;
 };
 
-/// Counters from one plan() call, for the planner bench and ablations.
+/// Counters from one plan() call, for the planner bench and tests.
 struct PlanStats {
   int expansions = 0;        ///< nodes popped from the open list
   int nodes = 0;             ///< nodes pushed (arena size)
@@ -90,7 +87,7 @@ struct PlanStats {
   int heuristic_evals = 0;
   bool solved_by_shot = false;
   /// g at the shot node plus the analytic tail's length: the cost A*
-  /// minimized. Lets benches compare solution quality across heuristics.
+  /// minimized. Lets benches compare solution quality across planners.
   double solution_cost = 0.0;
 };
 

@@ -37,19 +37,17 @@ ControllerRegistry::ControllerRegistry() {
        }});
   add({"co", "CO (ref)",
        "pure constrained-optimization baseline (hybrid-A* + SQP MPC)",
-       /*needs_policy=*/false, [](const ControllerBuildArgs& args) {
-         return std::make_unique<CoController>(
-             args.co != nullptr ? *args.co : co::CoPlannerConfig{},
-             args.vehicle);
+       /*needs_policy=*/false, [](const ControllerBuildArgs&) {
+         return std::make_unique<CoController>(co::CoPlannerConfig{},
+                                               vehicle::VehicleParams{});
        }});
   add({"co-fast", "CO (fast)",
        "CO with a shortened MPC horizon and fewer SQP rounds for tight frames",
-       /*needs_policy=*/false, [](const ControllerBuildArgs& args) {
-         co::CoPlannerConfig config =
-             args.co != nullptr ? *args.co : co::CoPlannerConfig{};
+       /*needs_policy=*/false, [](const ControllerBuildArgs&) {
+         co::CoPlannerConfig config;
          config.trajopt.horizon = 10;
          config.trajopt.sqp_iterations = 2;
-         return std::make_unique<CoController>(config, args.vehicle);
+         return std::make_unique<CoController>(config, vehicle::VehicleParams{});
        }});
 }
 
@@ -115,20 +113,14 @@ ControllerFactory ControllerRegistry::factory(const std::string& key,
                                               ControllerBuildArgs args) const {
   const ControllerSpec& spec = validated(*this, key, args);
   // The factory is invoked from pool workers long after the caller's config
-  // locals are gone: own copies of the overrides, not pointers into them.
+  // locals are gone: own a copy of the override, not a pointer into it.
   const auto icoil_copy =
       args.icoil != nullptr ? std::make_shared<IcoilConfig>(*args.icoil)
                             : nullptr;
-  const auto co_copy = args.co != nullptr
-                           ? std::make_shared<co::CoPlannerConfig>(*args.co)
-                           : nullptr;
-  return [build = spec.build, policy = args.policy, icoil_copy, co_copy,
-          vehicle = args.vehicle] {
+  return [build = spec.build, policy = args.policy, icoil_copy] {
     ControllerBuildArgs built;
     built.policy = policy;
     built.icoil = icoil_copy.get();
-    built.co = co_copy.get();
-    built.vehicle = vehicle;
     return build(built);
   };
 }

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "co/planner.hpp"
 #include "core/co_controller.hpp"
 #include "core/controller.hpp"
 #include "core/icoil_controller.hpp"
@@ -15,14 +14,12 @@ namespace icoil::core {
 
 /// Everything a registered method may consume when it builds a controller.
 /// `policy` must outlive any controller (and factory) built from it; the
-/// config pointers are optional overrides consulted at build time (nullptr
-/// means the spec's own defaults) and are copied into factories, so they
-/// only need to live through the registry call itself.
+/// `icoil` pointer is an optional override consulted at build time (nullptr
+/// means the spec's own defaults) and is copied into factories, so it only
+/// needs to live through the registry call itself.
 struct ControllerBuildArgs {
   const il::IlPolicy* policy = nullptr;  ///< required when spec needs_policy
   const IcoilConfig* icoil = nullptr;    ///< override for iCOIL-family specs
-  const co::CoPlannerConfig* co = nullptr;  ///< override for CO-family specs
-  vehicle::VehicleParams vehicle{};
 };
 
 /// One registered driving method: a stable string key, the label printed in
@@ -69,7 +66,7 @@ class ControllerRegistry {
 
   /// A ControllerFactory for the evaluator/session fan-outs: validates the
   /// key and policy requirement NOW (on the calling thread, so a misconfig
-  /// fails fast instead of inside a worker) and copies the config overrides
+  /// fails fast instead of inside a worker) and copies the config override
   /// into the closure. args.policy must outlive the returned factory.
   ControllerFactory factory(const std::string& key,
                             ControllerBuildArgs args = {}) const;

@@ -101,18 +101,6 @@ std::vector<double> Matrix::apply_transpose(const std::vector<double>& x) const 
   return y;
 }
 
-double Matrix::norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
-}
-
-double Matrix::max_abs() const {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::abs(v));
-  return m;
-}
-
 void Matrix::set_block(std::size_t r, std::size_t c, const Matrix& block) {
   assert(r + block.rows() <= rows_ && c + block.cols() <= cols_);
   for (std::size_t i = 0; i < block.rows(); ++i)

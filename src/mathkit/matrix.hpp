@@ -51,11 +51,6 @@ class Matrix {
   /// y = M^T x  (without forming the transpose)
   std::vector<double> apply_transpose(const std::vector<double>& x) const;
 
-  /// Frobenius norm.
-  double norm() const;
-  /// Largest absolute entry.
-  double max_abs() const;
-
   /// Write `block` into this matrix with its top-left corner at (r, c).
   void set_block(std::size_t r, std::size_t c, const Matrix& block);
 

@@ -713,9 +713,6 @@ std::uint64_t config_fingerprint(const EvalConfig& config) {
   // clearance-bearing stats are only comparable within one backend setting.
   h.add_int(static_cast<std::int64_t>(config.sim.collision_backend));
   h.add_double(config.sim.grid_resolution);
-  // Heuristic modes steer the search through different node orders, so two
-  // runs under different modes may return different paths for one scenario.
-  h.add_int(static_cast<std::int64_t>(config.sim.planner_heuristic));
   return h.value();
 }
 

@@ -229,15 +229,15 @@ struct MissionStats {
 
 inline constexpr int kPlannerStatsVersion = 1;
 
-/// One (family, density, heuristic-mode) cell of the planner ablation
-/// (bench_planner): hybrid-A* wall time and search-effort counters over a
-/// fixed seed set, plus the deadline-hit count of an optional budgeted
-/// pass. `speedup` is this mode's mean plan time relative to euclid-rs on
-/// the same (family, density) — 0 until the baseline row exists.
+/// One (family, density, planner) row of the planner bench (bench_planner):
+/// hybrid-A* wall time and search-effort counters over a fixed seed set,
+/// plus the deadline-hit count of an optional budgeted pass. `speedup` is
+/// the legacy planner's mean plan time on the same (family, density)
+/// divided by this row's; the legacy row itself leaves it 0.
 struct PlannerFamilyRow {
   std::string generator;
   double density = 1.0;          ///< generator clutter multiplier
-  std::string heuristic;         ///< co::to_string(HeuristicMode)
+  std::string heuristic;         ///< planner name: "max" or "legacy"
   int plans = 0;                 ///< scenarios attempted
   int solved = 0;
   double plan_ms_mean = 0.0;
@@ -245,15 +245,15 @@ struct PlannerFamilyRow {
   double expansions_mean = 0.0;  ///< nodes popped per plan
   double rs_shots_mean = 0.0;    ///< analytic expansions tried per plan
   double path_cost_mean = 0.0;   ///< solution cost (g + analytic tail) per solved plan
-  double speedup = 0.0;          ///< euclid-rs plan_ms_mean / this mode's
+  double speedup = 0.0;          ///< legacy plan_ms_mean / this row's
   double deadline_ms = 0.0;      ///< budgeted pass frame deadline (0 = off)
   int deadline_hits = 0;         ///< budgeted plans that tripped the frame
 };
 
-/// Planner-heuristic ablation metrics of one bench_planner run.
+/// Planner bench metrics of one bench_planner run.
 struct PlannerStats {
   int version = kPlannerStatsVersion;
-  std::vector<PlannerFamilyRow> rows;  ///< family-major, mode-minor
+  std::vector<PlannerFamilyRow> rows;  ///< family-major, planner-minor
 };
 
 /// A versioned, machine-readable record of one bench/suite run: run

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "co/heuristic.hpp"
 #include "core/cancel_token.hpp"
 #include "core/controller.hpp"
 #include "world/world.hpp"
@@ -61,13 +60,6 @@ struct SimConfig {
   /// clearance values become conservative lower bounds.
   world::CollisionBackend collision_backend = world::CollisionBackend::kAnalytic;
   double grid_resolution = world::DistanceField::kDefaultResolution;  ///< [m]
-  /// Hybrid-A* heuristic mode of the run's CO-backed controllers. The sim
-  /// loop itself never reads this: drivers (suite_runner, bench_planner)
-  /// copy it into the controller configs they build, and it is recorded
-  /// here so the config fingerprint separates runs whose planners searched
-  /// differently. Different modes expand different node orders, so paths —
-  /// and occasionally outcomes — are only comparable within one mode.
-  co::HeuristicMode planner_heuristic = co::HeuristicMode::kMax;
 };
 
 /// Runs one controller through one scenario episode: sense -> act ->

@@ -1,11 +1,12 @@
-// Admissibility and determinism of the cached planner heuristics.
+// Admissibility and determinism of the cached planner heuristic.
 //
 // The planner's speed rests on two precomputed lower bounds: the
 // Reeds-Shepp table (RsHeuristicLut) and the obstacle-aware Dijkstra
 // cost-to-go (DijkstraCostMap). Each is tested directly against the exact
 // quantity it claims to lower-bound, and the planner is checked to be
-// bit-deterministic under every heuristic mode — the bench's speedup and
-// parity numbers are only meaningful if repeated runs do identical work.
+// bit-deterministic and pinned to golden search counters — the bench's
+// speedup and parity numbers are only meaningful if repeated runs do
+// identical work.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,6 @@
 
 #include "co/heuristic.hpp"
 #include "co/hybrid_astar.hpp"
-#include "co/planner.hpp"
 #include "co/reeds_shepp.hpp"
 #include "co/refpath.hpp"
 #include "core/controller_registry.hpp"
@@ -209,30 +209,22 @@ PlanProblem static_problem(const world::Scenario& s) {
 
 TEST(PlannerHeuristicTest, DeterministicAcrossRepeatedRuns) {
   const PlanProblem p = static_problem(crowded_scenario(301));
-  const vehicle::VehicleParams params;
-  for (const HeuristicMode mode :
-       {HeuristicMode::kEuclidRs, HeuristicMode::kLut, HeuristicMode::kDijkstra,
-        HeuristicMode::kMax}) {
-    HybridAStarConfig config;
-    config.heuristic = mode;
-    const HybridAStar astar(config, params);
-    PlanStats a_stats, b_stats;
-    const auto a = astar.plan(p.start, p.goal, p.obstacles, p.bounds, nullptr,
-                              nullptr, &a_stats);
-    const auto b = astar.plan(p.start, p.goal, p.obstacles, p.bounds, nullptr,
-                              nullptr, &b_stats);
-    ASSERT_EQ(a.has_value(), b.has_value()) << to_string(mode);
-    EXPECT_EQ(a_stats.expansions, b_stats.expansions) << to_string(mode);
-    EXPECT_EQ(a_stats.nodes, b_stats.nodes) << to_string(mode);
-    EXPECT_EQ(a_stats.rs_shot_attempts, b_stats.rs_shot_attempts)
-        << to_string(mode);
-    if (!a.has_value()) continue;
-    ASSERT_EQ(a->size(), b->size()) << to_string(mode);
-    for (std::size_t i = 0; i < a->size(); ++i) {
-      EXPECT_EQ((*a)[i].pose.position.x, (*b)[i].pose.position.x);
-      EXPECT_EQ((*a)[i].pose.position.y, (*b)[i].pose.position.y);
-      EXPECT_EQ((*a)[i].pose.heading, (*b)[i].pose.heading);
-    }
+  const HybridAStar astar(HybridAStarConfig{}, vehicle::VehicleParams{});
+  PlanStats a_stats, b_stats;
+  const auto a = astar.plan(p.start, p.goal, p.obstacles, p.bounds, nullptr,
+                            nullptr, &a_stats);
+  const auto b = astar.plan(p.start, p.goal, p.obstacles, p.bounds, nullptr,
+                            nullptr, &b_stats);
+  ASSERT_EQ(a.has_value(), b.has_value());
+  EXPECT_EQ(a_stats.expansions, b_stats.expansions);
+  EXPECT_EQ(a_stats.nodes, b_stats.nodes);
+  EXPECT_EQ(a_stats.rs_shot_attempts, b_stats.rs_shot_attempts);
+  if (!a.has_value()) return;
+  ASSERT_EQ(a->size(), b->size());
+  for (std::size_t i = 0; i < a->size(); ++i) {
+    EXPECT_EQ((*a)[i].pose.position.x, (*b)[i].pose.position.x);
+    EXPECT_EQ((*a)[i].pose.position.y, (*b)[i].pose.position.y);
+    EXPECT_EQ((*a)[i].pose.heading, (*b)[i].pose.heading);
   }
 }
 
@@ -280,47 +272,36 @@ TEST(PlannerHeuristicTest, DefaultPlannerStatsGolden) {
   }
 }
 
-TEST(PlannerHeuristicTest, SuiteBitIdenticalAcrossThreadCountsPerMode) {
+TEST(PlannerHeuristicTest, SuiteBitIdenticalAcrossThreadCounts) {
   // Suite-level determinism: CO-backed episodes (which plan through hybrid
-  // A*) must be bit-identical across worker counts under every heuristic
-  // mode — the caches are per-plan or immutable-shared state, never racy.
+  // A*) must be bit-identical across worker counts — the heuristic caches
+  // are per-plan or immutable-shared state, never racy.
   sim::ScenarioSuite suite;
   sim::SuiteCell crowded;
   crowded.generator = "crowded_lot";
   crowded.difficulty = world::Difficulty::kNormal;
   crowded.time_limit = 2.0;
   suite.add(crowded);
+  const auto factory = core::ControllerRegistry::instance().factory("co");
 
-  for (const HeuristicMode mode :
-       {HeuristicMode::kEuclidRs, HeuristicMode::kLut, HeuristicMode::kDijkstra,
-        HeuristicMode::kMax}) {
-    CoPlannerConfig co_config;
-    co_config.astar.heuristic = mode;
-    core::ControllerBuildArgs args;
-    args.co = &co_config;
-    const auto factory =
-        core::ControllerRegistry::instance().factory("co", args);
-
-    std::vector<std::vector<sim::SuiteCellEpisodes>> runs;
-    for (int threads : {1, 4}) {
-      sim::EvalConfig cfg;
-      cfg.episodes = 2;
-      cfg.num_threads = threads;
-      cfg.thread_cap = 4;
-      runs.push_back(sim::Evaluator(cfg).evaluate_suite_detailed(factory, suite));
-    }
-    ASSERT_EQ(runs[0].size(), runs[1].size());
-    for (std::size_t c = 0; c < runs[0].size(); ++c) {
-      ASSERT_EQ(runs[0][c].episodes.size(), runs[1][c].episodes.size());
-      for (std::size_t e = 0; e < runs[0][c].episodes.size(); ++e) {
-        const sim::EpisodeResult& a = runs[0][c].episodes[e];
-        const sim::EpisodeResult& b = runs[1][c].episodes[e];
-        EXPECT_EQ(a.outcome, b.outcome) << to_string(mode) << " ep " << e;
-        EXPECT_EQ(a.frames, b.frames) << to_string(mode) << " ep " << e;
-        EXPECT_EQ(a.park_time, b.park_time) << to_string(mode) << " ep " << e;
-        EXPECT_EQ(a.min_clearance, b.min_clearance)
-            << to_string(mode) << " ep " << e;
-      }
+  std::vector<std::vector<sim::SuiteCellEpisodes>> runs;
+  for (int threads : {1, 4}) {
+    sim::EvalConfig cfg;
+    cfg.episodes = 2;
+    cfg.num_threads = threads;
+    cfg.thread_cap = 4;
+    runs.push_back(sim::Evaluator(cfg).evaluate_suite_detailed(factory, suite));
+  }
+  ASSERT_EQ(runs[0].size(), runs[1].size());
+  for (std::size_t c = 0; c < runs[0].size(); ++c) {
+    ASSERT_EQ(runs[0][c].episodes.size(), runs[1][c].episodes.size());
+    for (std::size_t e = 0; e < runs[0][c].episodes.size(); ++e) {
+      const sim::EpisodeResult& a = runs[0][c].episodes[e];
+      const sim::EpisodeResult& b = runs[1][c].episodes[e];
+      EXPECT_EQ(a.outcome, b.outcome) << "ep " << e;
+      EXPECT_EQ(a.frames, b.frames) << "ep " << e;
+      EXPECT_EQ(a.park_time, b.park_time) << "ep " << e;
+      EXPECT_EQ(a.min_clearance, b.min_clearance) << "ep " << e;
     }
   }
 }
@@ -332,8 +313,7 @@ TEST(PlannerHeuristicTest, HolonomicBoundNeverExceedsReturnedPathLength) {
   // planner also used — so their strict comparator is the exact RS solve,
   // covered by RsHeuristicLutTest above, not the returned path.)
   const vehicle::VehicleParams params;
-  HybridAStarConfig config;
-  config.heuristic = HeuristicMode::kMax;
+  const HybridAStarConfig config;
   const HybridAStar astar(config, params);
   for (std::uint64_t seed : {300u, 301u, 302u, 303u}) {
     const PlanProblem p = static_problem(crowded_scenario(seed));
