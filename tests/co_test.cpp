@@ -10,6 +10,7 @@
 #include "co/refpath.hpp"
 #include "co/trajopt.hpp"
 #include "geom/angles.hpp"
+#include "mathkit/fnv.hpp"
 #include "mathkit/rng.hpp"
 #include "world/scenario.hpp"
 
@@ -334,6 +335,46 @@ TEST(TrajOptTest, TooFewTargetsRejected) {
   vehicle::State s;
   const TrajOptResult res = opt.solve(s, straight_targets(3, 1.0, 0.2), {});
   EXPECT_FALSE(res.ok);
+}
+
+// A traffic-sized MPC solve: five moving agents around the reference give
+// the QP dozens of obstacle rows (and as many slack columns), the shape
+// that dominates mission time. The digest pins the exact bits of the
+// solution, so any change to the QP's floating-point operation order shows
+// here before it shows as a moved mission fingerprint. Every SQP round runs
+// to the 500-iteration cap, so the adaptive-rho refactor path is covered.
+TEST(TrajOptTest, TrafficSizedSolveGolden) {
+  TrajOptConfig cfg;
+  TrajOpt opt(cfg, vehicle::VehicleParams{});
+  vehicle::State s;
+  s.speed = 1.8;
+  s.pose.heading = 0.05;
+  std::vector<TargetPoint> targets;
+  for (int i = 1; i <= cfg.horizon; ++i)
+    targets.push_back({{i * 0.3, 0.02 * i, 0.04}, 2.0});
+  const std::vector<PredictedObstacle> agents = {
+      {geom::Obb{{6.0, 2.2}, 0.0, 2.2, 0.9}, {-0.8, -0.3}},
+      {geom::Obb{{3.0, -2.4}, 0.1, 2.2, 0.9}, {0.6, 0.2}},
+      {geom::Obb{{9.0, -1.0}, 1.5, 2.2, 0.9}, {0.0, 0.7}},
+      {geom::Obb{{1.5, 2.6}, -0.2, 0.4, 0.4}, {0.4, -0.5}},
+      {geom::Obb{{7.5, 0.4}, 0.3, 0.5, 0.5}, {-1.0, 0.0}},
+  };
+  const TrajOptResult res = opt.solve(s, targets, agents);
+  ASSERT_TRUE(res.ok);
+  EXPECT_GE(res.active_obstacle_constraints, 40);
+
+  math::Fnv1a digest;
+  for (const vehicle::PlannerControl& u : res.controls) {
+    digest.add_double(u.accel);
+    digest.add_double(u.steer);
+  }
+  digest.add_double(res.objective);
+  digest.add_int(res.qp_iterations);
+  digest.add_int(res.active_obstacle_constraints);
+  EXPECT_EQ(res.qp_iterations, 1500);
+  EXPECT_EQ(res.active_obstacle_constraints, 147);
+  EXPECT_EQ(digest.value(), 0x29ba8e885e11be3bull)
+      << std::hex << digest.value();
 }
 
 TEST(TrajOptTest, DiscCoverFootprint) {
