@@ -342,6 +342,9 @@ TrajOptResult TrajOpt::solve(const vehicle::State& current,
     const bool warm_ok = prev_solution.size() == qp.q.size();
     const math::QpResult sol =
         solver.solve(qp, warm_ok ? &prev_solution : nullptr, nullptr);
+    ++res.qp_solves;
+    res.qp_factorizations += sol.factorizations;
+    if (sol.status == math::QpStatus::kMaxIterations) ++res.qp_capped;
     if (!sol.ok() && sol.status != math::QpStatus::kMaxIterations) {
       // Singular/invalid — keep whatever nominal we have.
       break;

@@ -57,8 +57,12 @@ struct TrajOptResult {
   std::vector<vehicle::State> predicted;  ///< nonlinear rollout of the plan
   std::vector<vehicle::PlannerControl> controls;
   double objective = 0.0;
-  int qp_iterations = 0;
+  int qp_iterations = 0;  ///< ADMM iterations over the accepted solves
   int active_obstacle_constraints = 0;
+  // Host-independent QP work counters, one count per SQP round's solve.
+  int qp_solves = 0;          ///< QP solves issued (accepted or not)
+  int qp_capped = 0;          ///< solves that stopped at the iteration cap
+  int qp_factorizations = 0;  ///< KKT factorizations over all solves
 };
 
 /// The CO trajectory optimizer: converts the nonconvex program (6) into a

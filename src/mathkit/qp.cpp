@@ -48,6 +48,7 @@ QpResult QpSolver::solve(const QpProblem& prob, const std::vector<double>* x0,
   if (m == 0) {
     Matrix k = prob.p;
     for (std::size_t i = 0; i < n; ++i) k(i, i) += sigma;
+    res.factorizations = 1;
     auto sol = solve_spd(k, scale(prob.q, -1.0));
     if (!sol) {
       res.status = QpStatus::kSingularKkt;
@@ -82,6 +83,7 @@ QpResult QpSolver::solve(const QpProblem& prob, const std::vector<double>* x0,
         }
       }
     }
+    ++res.factorizations;
     return Ldlt::factorize(k);
   };
 

@@ -38,6 +38,8 @@ struct QpSettings {
   bool adaptive_rho = true;
 };
 
+/// kMaxIterations still carries the last iterate in `x`/`y`: callers that
+/// accept it (the MPC does) should count it, not treat it as solved.
 enum class QpStatus { kSolved, kMaxIterations, kSingularKkt, kInvalidProblem };
 
 struct QpResult {
@@ -46,6 +48,7 @@ struct QpResult {
   std::vector<double> y;       ///< dual solution (Lagrange multipliers)
   double objective = 0.0;
   int iterations = 0;
+  int factorizations = 0;      ///< KKT factorizations (1 + rho refactors)
   double primal_residual = 0.0;
   double dual_residual = 0.0;
 

@@ -342,7 +342,7 @@ TEST(TrajOptTest, TooFewTargetsRejected) {
 // that dominates mission time. The digest pins the exact bits of the
 // solution, so any change to the QP's floating-point operation order shows
 // here before it shows as a moved mission fingerprint. Every SQP round runs
-// to the 500-iteration cap, so the adaptive-rho refactor path is covered.
+// to the 500-iteration cap, which the counters must report.
 TEST(TrajOptTest, TrafficSizedSolveGolden) {
   TrajOptConfig cfg;
   TrajOpt opt(cfg, vehicle::VehicleParams{});
@@ -373,6 +373,9 @@ TEST(TrajOptTest, TrafficSizedSolveGolden) {
   digest.add_int(res.active_obstacle_constraints);
   EXPECT_EQ(res.qp_iterations, 1500);
   EXPECT_EQ(res.active_obstacle_constraints, 147);
+  EXPECT_EQ(res.qp_solves, 3);
+  EXPECT_EQ(res.qp_capped, 3);
+  EXPECT_EQ(res.qp_factorizations, 3);
   EXPECT_EQ(digest.value(), 0x29ba8e885e11be3bull)
       << std::hex << digest.value();
 }

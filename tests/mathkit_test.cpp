@@ -209,6 +209,27 @@ TEST(QpTest, WarmStartReducesIterations) {
   EXPECT_LE(warm.iterations, cold.iterations);
 }
 
+TEST(QpTest, ReportsCapAndFactorizations) {
+  QpProblem p;
+  p.p = Matrix::identity(2) * 2.0;
+  p.q = {-6.0, 2.0};
+  p.a = Matrix{{1, 1}, {0, 1}};
+  p.l = {1.0, 0.0};
+  p.u = {1.0, kQpInf};
+  const QpResult solved = QpSolver().solve(p);
+  ASSERT_TRUE(solved.ok());
+  EXPECT_GE(solved.factorizations, 1);
+
+  // Two iterations cannot converge: the result is the capped iterate, and
+  // with a fixed rho the KKT matrix is factored exactly once.
+  const QpResult capped =
+      QpSolver(QpSettings{.max_iterations = 2, .adaptive_rho = false}).solve(p);
+  EXPECT_EQ(capped.status, QpStatus::kMaxIterations);
+  EXPECT_EQ(capped.iterations, 2);
+  EXPECT_EQ(capped.factorizations, 1);
+  EXPECT_EQ(capped.x.size(), 2u);
+}
+
 TEST(QpTest, RejectsInvalidProblem) {
   QpProblem p;  // empty everything but mismatched bounds
   p.p = Matrix::identity(2);
