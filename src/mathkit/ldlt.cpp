@@ -7,35 +7,82 @@ namespace icoil::math {
 std::optional<Ldlt> Ldlt::factorize(const Matrix& m, double pivot_tol) {
   if (m.rows() != m.cols()) return std::nullopt;
   const std::size_t n = m.rows();
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   Ldlt f;
-  f.n_ = n;
-  f.l_ = Matrix::identity(n);
   f.d_.assign(n, 0.0);
 
-  for (std::size_t j = 0; j < n; ++j) {
-    double dj = m(j, j);
-    for (std::size_t k = 0; k < j; ++k) dj -= f.l_(j, k) * f.l_(j, k) * f.d_[k];
-    if (std::abs(dj) < pivot_tol) return std::nullopt;
-    f.d_[j] = dj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double v = m(i, j);
-      for (std::size_t k = 0; k < j; ++k) v -= f.l_(i, k) * f.l_(j, k) * f.d_[k];
-      f.l_(i, j) = v / dj;
+  // Symbolic: row i of L is nonzero where the elimination-tree paths from
+  // the nonzeros of m(i, 0..i-1) reach. Marking and then sweeping k upward
+  // leaves each row's columns in ascending order.
+  std::vector<std::size_t> parent(n, kNone), mark(n, kNone), col_count(n, 0);
+  f.row_start_.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    mark[i] = i;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (m(i, j) == 0.0) continue;
+      for (std::size_t k = j; mark[k] != i; k = parent[k]) {
+        if (parent[k] == kNone) parent[k] = i;
+        mark[k] = i;
+      }
     }
+    for (std::size_t k = 0; k < i; ++k) {
+      if (mark[k] != i) continue;
+      f.row_col_.push_back(k);
+      ++col_count[k];
+    }
+    f.row_start_[i + 1] = f.row_col_.size();
+  }
+  const std::size_t nnz = f.row_col_.size();
+  f.row_val_.resize(nnz);
+  f.col_start_.assign(n + 1, 0);
+  for (std::size_t k = 0; k < n; ++k)
+    f.col_start_[k + 1] = f.col_start_[k] + col_count[k];
+  f.col_row_.resize(nnz);
+  f.col_val_.resize(nnz);
+
+  // Numeric, row by row. y[j] starts at m(i, j) and takes the term
+  // l(i,k) l(j,k) d(k) of every k < j in ascending order, as the dense
+  // column loop does; the terms left out have a zero factor.
+  std::vector<std::size_t> col_fill(f.col_start_.begin(), f.col_start_.end() - 1);
+  std::vector<double> y(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t begin = f.row_start_[i], end = f.row_start_[i + 1];
+    for (std::size_t p = begin; p < end; ++p) y[f.row_col_[p]] = m(i, f.row_col_[p]);
+    double di = m(i, i);
+    for (std::size_t p = begin; p < end; ++p) {
+      const std::size_t k = f.row_col_[p];
+      const double dk = f.d_[k];
+      const double lik = y[k] / dk;
+      for (std::size_t q = f.col_start_[k]; q < col_fill[k]; ++q)
+        y[f.col_row_[q]] -= lik * f.col_val_[q] * dk;
+      di -= lik * lik * dk;
+      f.row_val_[p] = lik;
+      f.col_row_[col_fill[k]] = i;
+      f.col_val_[col_fill[k]++] = lik;
+    }
+    if (std::abs(di) < pivot_tol) return std::nullopt;
+    f.d_[i] = di;
   }
   return f;
 }
 
+void Ldlt::solve_in_place(std::vector<double>& x) const {
+  const std::size_t n = d_.size();
+  // Forward: L y = b, over the rows of L.
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t p = row_start_[i]; p < row_start_[i + 1]; ++p)
+      x[i] -= row_val_[p] * x[row_col_[p]];
+  // Diagonal: D z = y
+  for (std::size_t i = 0; i < n; ++i) x[i] /= d_[i];
+  // Backward: L^T x = z, over the columns of L.
+  for (std::size_t ii = n; ii-- > 0;)
+    for (std::size_t q = col_start_[ii]; q < col_start_[ii + 1]; ++q)
+      x[ii] -= col_val_[q] * x[col_row_[q]];
+}
+
 std::vector<double> Ldlt::solve(const std::vector<double>& b) const {
   std::vector<double> x = b;
-  // Forward: L y = b
-  for (std::size_t i = 0; i < n_; ++i)
-    for (std::size_t k = 0; k < i; ++k) x[i] -= l_(i, k) * x[k];
-  // Diagonal: D z = y
-  for (std::size_t i = 0; i < n_; ++i) x[i] /= d_[i];
-  // Backward: L^T x = z
-  for (std::size_t ii = n_; ii-- > 0;)
-    for (std::size_t k = ii + 1; k < n_; ++k) x[ii] -= l_(k, ii) * x[k];
+  solve_in_place(x);
   return x;
 }
 

@@ -10,6 +10,12 @@ namespace icoil::math {
 /// LDL^T factorization of a symmetric quasi-definite matrix.
 /// Used as the linear-system kernel of the ADMM QP solver, where the KKT
 /// matrix (P + sigma*I + rho*A^T A) is symmetric positive definite.
+///
+/// Only the lower triangle of the input is read, and L is stored sparse:
+/// its pattern comes from the elimination tree, in the natural variable
+/// order. Every sum runs over the same ascending indices as the dense
+/// textbook loops, with the terms that are exactly zero left out, so the
+/// factors and solutions are bit-identical to the dense algorithm.
 class Ldlt {
  public:
   /// Factorize `m` (must be square, symmetric). Returns std::nullopt when a
@@ -18,13 +24,21 @@ class Ldlt {
 
   /// Solve M x = b for x.
   std::vector<double> solve(const std::vector<double>& b) const;
+  /// Solve M x = b, overwriting `b` (size dim()) with x.
+  void solve_in_place(std::vector<double>& b) const;
 
-  std::size_t dim() const { return n_; }
+  std::size_t dim() const { return d_.size(); }
+  /// Stored entries of the strictly lower triangle of L.
+  std::size_t nonzeros() const { return row_col_.size(); }
 
  private:
   Ldlt() = default;
-  std::size_t n_ = 0;
-  Matrix l_;                // unit lower triangular
+  // Strictly lower L twice over: by rows (ascending columns) for the
+  // forward solve, by columns (ascending rows) for the backward solve.
+  std::vector<std::size_t> row_start_, row_col_;
+  std::vector<double> row_val_;
+  std::vector<std::size_t> col_start_, col_row_;
+  std::vector<double> col_val_;
   std::vector<double> d_;  // diagonal
 };
 
