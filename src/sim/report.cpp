@@ -836,7 +836,9 @@ BaselineVerdict compare_to_baseline(const RunReport& current,
                                     const RunReport& baseline,
                                     const BaselineTolerance& tolerance) {
   BaselineVerdict verdict;
-  if (current.meta.config_fingerprint != baseline.meta.config_fingerprint)
+  const bool configs_match =
+      current.meta.config_fingerprint == baseline.meta.config_fingerprint;
+  if (!configs_match)
     verdict.notes.push_back(
         "config fingerprints differ — the baseline run used different eval "
         "settings; numbers may legitimately differ");
@@ -913,6 +915,20 @@ BaselineVerdict compare_to_baseline(const RunReport& current,
             id + ": template fingerprint changed — baseline not comparable, "
                  "re-record it");
         continue;
+      }
+      // Same template, seeds and eval settings: the outcomes are
+      // deterministic, so any moved result fingerprint is a changed
+      // outcome, however small its effect on the ratios below.
+      if (configs_match && cur->result_fingerprint != base.result_fingerprint) {
+        char why[160];
+        std::snprintf(why, sizeof(why),
+                      ": result fingerprint %016llx vs baseline %016llx",
+                      static_cast<unsigned long long>(cur->result_fingerprint),
+                      static_cast<unsigned long long>(base.result_fingerprint));
+        verdict.failures.push_back(
+            id + why +
+            " — mission outcomes changed; if that is intended, re-record the "
+            "baseline");
       }
       const double drop = base.success_ratio - cur->success_ratio;
       if (drop > tolerance.mission_success_drop + 1e-12) {

@@ -317,7 +317,9 @@ struct BaselineVerdict {
 /// method + label). Regressions: a baseline cell missing from the current
 /// run, a success-ratio drop beyond tolerance, or a park-time slowdown
 /// beyond tolerance. Mismatched config fingerprints are flagged as a note
-/// (the numbers may legitimately differ).
+/// (the numbers may legitimately differ). Mission rows (matched on template
+/// + method) also fail on a moved `result_fingerprint` when the template and
+/// config fingerprints both match: outcomes must then be bit-identical.
 BaselineVerdict compare_to_baseline(const RunReport& current,
                                     const RunReport& baseline,
                                     const BaselineTolerance& tolerance = {});

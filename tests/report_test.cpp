@@ -369,5 +369,42 @@ TEST(ReportCodecTest, NonObjectRowsAreRejected) {
   }
 }
 
+// bench_mission outcomes are deterministic for a given template, seed set
+// and eval config, so a baseline check must fail on any moved result
+// fingerprint — not only when the success or replan rates drift.
+TEST(ReportBaselineTest, MissionResultFingerprintIsEnforced) {
+  sim::RunReport baseline;
+  std::string error;
+  ASSERT_TRUE(sim::RunReport::load(
+      std::string(ICOIL_SOURCE_DIR) + "/bench/baselines/mission_smoke.json",
+      &baseline, &error))
+      << error;
+  ASSERT_TRUE(baseline.mission.has_value());
+  EXPECT_TRUE(sim::compare_to_baseline(baseline, baseline).ok);
+
+  // Same config and template, moved outcomes: a failure that says how to
+  // accept an intended change.
+  sim::RunReport moved = baseline;
+  moved.mission->rows[0].result_fingerprint ^= 1;
+  const sim::BaselineVerdict verdict = sim::compare_to_baseline(moved, baseline);
+  EXPECT_FALSE(verdict.ok);
+  ASSERT_EQ(verdict.failures.size(), 1u);
+  EXPECT_NE(verdict.failures[0].find("result fingerprint"), std::string::npos);
+  EXPECT_NE(verdict.failures[0].find("re-record"), std::string::npos);
+
+  // Other eval settings (seeds, mission count) legitimately move outcomes.
+  sim::RunReport other_config = moved;
+  other_config.meta.config_fingerprint ^= 1;
+  EXPECT_TRUE(sim::compare_to_baseline(other_config, baseline).ok);
+
+  // An edited template is not comparable at all: a note, not a failure.
+  sim::RunReport other_template = moved;
+  other_template.mission->rows[0].spec_fingerprint ^= 1;
+  const sim::BaselineVerdict edited =
+      sim::compare_to_baseline(other_template, baseline);
+  EXPECT_TRUE(edited.ok);
+  EXPECT_FALSE(edited.notes.empty());
+}
+
 }  // namespace
 }  // namespace icoil
