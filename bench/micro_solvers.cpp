@@ -7,6 +7,7 @@
 #include "co/heuristic.hpp"
 #include "co/hybrid_astar.hpp"
 #include "co/reeds_shepp.hpp"
+#include "co/trajopt.hpp"
 #include "sim/suite.hpp"
 #include "il/batch_inferencer.hpp"
 #include "il/observation.hpp"
@@ -58,6 +59,33 @@ void BM_QpBoxConstrained(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QpBoxConstrained)->Arg(30)->Arg(90)->Unit(benchmark::kMicrosecond);
+
+// One MPC solve (3 SQP rounds) among N moving agents scattered around the
+// reference line: each agent near the horizon adds obstacle rows and slack
+// columns to every round's QP, the traffic-sized problems of a mission.
+void BM_TrajOptSolve(benchmark::State& state) {
+  const co::TrajOptConfig config;
+  const co::TrajOpt opt(config, vehicle::VehicleParams{});
+  vehicle::State start;
+  start.speed = 1.5;
+  std::vector<co::TargetPoint> targets;
+  for (int i = 1; i <= config.horizon; ++i) targets.push_back({{i * 0.25, 0.0, 0.0}, 1.5});
+  math::Rng rng(11);
+  std::vector<co::PredictedObstacle> agents;
+  for (int i = 0; i < state.range(0); ++i)
+    agents.push_back({geom::Obb{{rng.uniform(2.0, 10.0), rng.uniform(-3.5, 3.5)},
+                                rng.uniform(-3.0, 3.0), 2.2, 0.9},
+                      {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)}});
+  co::TrajOptResult res;
+  for (auto _ : state) {
+    res = opt.solve(start, targets, agents);
+    benchmark::DoNotOptimize(res);
+  }
+  state.counters["obstacle_rows"] = res.active_obstacle_constraints;
+  state.counters["qp_iterations"] = res.qp_iterations;
+  state.counters["qp_capped"] = res.qp_capped;
+}
+BENCHMARK(BM_TrajOptSolve)->Arg(0)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void BM_ReedsSheppShortest(benchmark::State& state) {
   const co::ReedsShepp rs(3.5);

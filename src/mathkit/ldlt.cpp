@@ -15,7 +15,7 @@ std::optional<Ldlt> Ldlt::factorize(const Matrix& m, double pivot_tol) {
   // the nonzeros of m(i, 0..i-1) reach. Marking and then sweeping k upward
   // leaves each row's columns in ascending order.
   std::vector<std::size_t> parent(n, kNone), mark(n, kNone), col_count(n, 0);
-  f.row_start_.assign(n + 1, 0);
+  std::vector<std::size_t> row_start(n + 1, 0), row_col;
   for (std::size_t i = 0; i < n; ++i) {
     mark[i] = i;
     for (std::size_t j = 0; j < i; ++j) {
@@ -27,36 +27,34 @@ std::optional<Ldlt> Ldlt::factorize(const Matrix& m, double pivot_tol) {
     }
     for (std::size_t k = 0; k < i; ++k) {
       if (mark[k] != i) continue;
-      f.row_col_.push_back(k);
+      row_col.push_back(k);
       ++col_count[k];
     }
-    f.row_start_[i + 1] = f.row_col_.size();
+    row_start[i + 1] = row_col.size();
   }
-  const std::size_t nnz = f.row_col_.size();
-  f.row_val_.resize(nnz);
   f.col_start_.assign(n + 1, 0);
   for (std::size_t k = 0; k < n; ++k)
     f.col_start_[k + 1] = f.col_start_[k] + col_count[k];
-  f.col_row_.resize(nnz);
-  f.col_val_.resize(nnz);
+  f.col_row_.resize(row_col.size());
+  f.col_val_.resize(row_col.size());
 
   // Numeric, row by row. y[j] starts at m(i, j) and takes the term
   // l(i,k) l(j,k) d(k) of every k < j in ascending order, as the dense
-  // column loop does; the terms left out have a zero factor.
+  // column loop does; the terms left out have a zero factor. Rows fill the
+  // columns of L in ascending row order.
   std::vector<std::size_t> col_fill(f.col_start_.begin(), f.col_start_.end() - 1);
   std::vector<double> y(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t begin = f.row_start_[i], end = f.row_start_[i + 1];
-    for (std::size_t p = begin; p < end; ++p) y[f.row_col_[p]] = m(i, f.row_col_[p]);
+    const std::size_t begin = row_start[i], end = row_start[i + 1];
+    for (std::size_t p = begin; p < end; ++p) y[row_col[p]] = m(i, row_col[p]);
     double di = m(i, i);
     for (std::size_t p = begin; p < end; ++p) {
-      const std::size_t k = f.row_col_[p];
+      const std::size_t k = row_col[p];
       const double dk = f.d_[k];
       const double lik = y[k] / dk;
       for (std::size_t q = f.col_start_[k]; q < col_fill[k]; ++q)
         y[f.col_row_[q]] -= lik * f.col_val_[q] * dk;
       di -= lik * lik * dk;
-      f.row_val_[p] = lik;
       f.col_row_[col_fill[k]] = i;
       f.col_val_[col_fill[k]++] = lik;
     }
@@ -68,13 +66,16 @@ std::optional<Ldlt> Ldlt::factorize(const Matrix& m, double pivot_tol) {
 
 void Ldlt::solve_in_place(std::vector<double>& x) const {
   const std::size_t n = d_.size();
-  // Forward: L y = b, over the rows of L.
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t p = row_start_[i]; p < row_start_[i + 1]; ++p)
-      x[i] -= row_val_[p] * x[row_col_[p]];
-  // Diagonal: D z = y
-  for (std::size_t i = 0; i < n; ++i) x[i] /= d_[i];
-  // Backward: L^T x = z, over the columns of L.
+  // Forward L y = b as a column scatter: each x[i] still takes its terms in
+  // ascending k, but consecutive updates hit different entries instead of
+  // queueing on one running sum. Then D z = y.
+  for (std::size_t k = 0; k < n; ++k) {
+    const double xk = x[k];
+    for (std::size_t q = col_start_[k]; q < col_start_[k + 1]; ++q)
+      x[col_row_[q]] -= col_val_[q] * xk;
+    x[k] = xk / d_[k];
+  }
+  // Backward: L^T x = z, each x[ii] gathered over column ii of L.
   for (std::size_t ii = n; ii-- > 0;)
     for (std::size_t q = col_start_[ii]; q < col_start_[ii + 1]; ++q)
       x[ii] -= col_val_[q] * x[col_row_[q]];

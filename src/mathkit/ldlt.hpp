@@ -29,14 +29,11 @@ class Ldlt {
 
   std::size_t dim() const { return d_.size(); }
   /// Stored entries of the strictly lower triangle of L.
-  std::size_t nonzeros() const { return row_col_.size(); }
+  std::size_t nonzeros() const { return col_row_.size(); }
 
  private:
   Ldlt() = default;
-  // Strictly lower L twice over: by rows (ascending columns) for the
-  // forward solve, by columns (ascending rows) for the backward solve.
-  std::vector<std::size_t> row_start_, row_col_;
-  std::vector<double> row_val_;
+  // Strictly lower L by columns, rows ascending within each column.
   std::vector<std::size_t> col_start_, col_row_;
   std::vector<double> col_val_;
   std::vector<double> d_;  // diagonal
