@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <optional>
 #include <sstream>
 
 #include "mathkit/gemm.hpp"
@@ -138,6 +141,181 @@ TEST_P(LdltRandomSpd, ResidualSmall) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSystems, LdltRandomSpd, ::testing::Range(0, 20));
+
+// ------------------------------------------------ dense reference oracle
+
+// The textbook dense LDL^T and ADMM loops the sparse solver must reproduce
+// bit for bit: same operation order, every zero term included.
+std::optional<std::vector<double>> dense_ldlt_solve(const Matrix& m,
+                                                    std::vector<double> x) {
+  const std::size_t n = m.rows();
+  Matrix l = Matrix::identity(n);
+  std::vector<double> d(n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    double dj = m(j, j);
+    for (std::size_t k = 0; k < j; ++k) dj -= l(j, k) * l(j, k) * d[k];
+    if (std::abs(dj) < 1e-12) return std::nullopt;
+    d[j] = dj;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double v = m(i, j);
+      for (std::size_t k = 0; k < j; ++k) v -= l(i, k) * l(j, k) * d[k];
+      l(i, j) = v / dj;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t k = 0; k < i; ++k) x[i] -= l(i, k) * x[k];
+  for (std::size_t i = 0; i < n; ++i) x[i] /= d[i];
+  for (std::size_t ii = n; ii-- > 0;)
+    for (std::size_t k = ii + 1; k < n; ++k) x[ii] -= l(k, ii) * x[k];
+  return x;
+}
+
+QpResult dense_reference_qp(const QpProblem& prob, const QpSettings& s) {
+  const std::size_t n = prob.num_vars(), m = prob.num_constraints();
+  const Matrix at = prob.a.transpose();
+  double rho = s.rho;
+  auto rho_row = [&](std::size_t i) {
+    return prob.l[i] == prob.u[i] ? 1e3 * rho : rho;
+  };
+  Matrix k;
+  auto build_kkt = [&] {
+    k = prob.p;
+    for (std::size_t i = 0; i < n; ++i) k(i, i) += s.sigma;
+    for (std::size_t r = 0; r < m; ++r)
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+          if (prob.a(r, i) != 0.0 && prob.a(r, j) != 0.0)
+            k(i, j) += rho_row(r) * prob.a(r, i) * prob.a(r, j);
+  };
+  QpResult res;
+  build_kkt();
+  res.factorizations = 1;
+  std::vector<double> x(n, 0.0), y(m, 0.0), z = prob.a.apply(x);
+  for (std::size_t i = 0; i < m; ++i) z[i] = std::clamp(z[i], prob.l[i], prob.u[i]);
+  int iter = 1;
+  for (; iter <= s.max_iterations; ++iter) {
+    std::vector<double> rz_y(m), rhs(n);
+    for (std::size_t i = 0; i < m; ++i) rz_y[i] = rho_row(i) * z[i] - y[i];
+    const std::vector<double> azy = at.apply(rz_y);
+    for (std::size_t i = 0; i < n; ++i) rhs[i] = s.sigma * x[i] - prob.q[i] + azy[i];
+    x = *dense_ldlt_solve(k, rhs);
+    const std::vector<double> ax = prob.a.apply(x);
+    for (std::size_t i = 0; i < m; ++i) {
+      const double zt = s.alpha * ax[i] + (1.0 - s.alpha) * z[i];
+      const double zn = std::clamp(zt + y[i] / rho_row(i), prob.l[i], prob.u[i]);
+      y[i] += rho_row(i) * (zt - zn);
+      z[i] = zn;
+    }
+    if (iter % s.check_interval != 0 && iter != s.max_iterations) continue;
+    const double r_prim = norm_inf(sub(ax, z));
+    const std::vector<double> px = prob.p.apply(x), aty = at.apply(y);
+    std::vector<double> r_dual_vec(n);
+    for (std::size_t i = 0; i < n; ++i) r_dual_vec[i] = px[i] + prob.q[i] + aty[i];
+    const double r_dual = norm_inf(r_dual_vec);
+    if (r_prim <= s.eps_abs + s.eps_rel * std::max(norm_inf(ax), norm_inf(z)) &&
+        r_dual <= s.eps_abs + s.eps_rel * std::max({norm_inf(px), norm_inf(aty),
+                                                    norm_inf(prob.q)})) {
+      res.status = QpStatus::kSolved;
+      break;
+    }
+    const double ratio = std::sqrt(r_prim / r_dual);
+    if (r_dual > 0.0 && r_prim > 0.0 && (ratio > 5.0 || ratio < 0.2)) {
+      rho = std::clamp(rho * ratio, 1e-6, 1e6);
+      build_kkt();
+      ++res.factorizations;
+    }
+  }
+  if (res.status != QpStatus::kSolved) res.status = QpStatus::kMaxIterations;
+  res.iterations = std::min(iter, s.max_iterations);
+  res.objective = 0.5 * dot(x, prob.p.apply(x)) + dot(prob.q, x);
+  res.x = x;
+  res.y = y;
+  return res;
+}
+
+// A random sparse QP shaped like the MPC's: a banded cost, rows of 1-4
+// nonzeros, equality rows, one-sided rows and boxes.
+QpProblem random_sparse_qp(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t n = static_cast<std::size_t>(rng.uniform_int(12, 40));
+  const std::size_t m = static_cast<std::size_t>(rng.uniform_int(8, 60));
+  QpProblem p;
+  p.p = Matrix(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    p.p(i, i) = rng.uniform(0.1, 3.0);
+    if (i > 0 && rng.bernoulli(0.4)) {
+      const double c = rng.uniform(-0.3, 0.3);
+      p.p(i, i - 1) = c;
+      p.p(i - 1, i) = c;
+    }
+  }
+  p.q.resize(n);
+  for (double& v : p.q) v = rng.normal();
+  p.a = Matrix(m, n);
+  p.l.resize(m);
+  p.u.resize(m);
+  for (std::size_t r = 0; r < m; ++r) {
+    const int nnz = rng.uniform_int(1, 4);
+    for (int e = 0; e < nnz; ++e)
+      p.a(r, static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(n) - 1))) =
+          rng.normal();
+    const double b = rng.normal();
+    switch (rng.uniform_int(0, 2)) {
+      case 0: p.l[r] = p.u[r] = b; break;
+      case 1: p.l[r] = b; p.u[r] = kQpInf; break;
+      default: p.l[r] = b - 1.0; p.u[r] = b + 1.0; break;
+    }
+  }
+  return p;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(LdltTest, MatchesDenseFactorizationBitwise) {
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    Rng rng(seed + 40);
+    // Sparse SPD: a banded lower part plus scattered entries, mirrored.
+    const std::size_t n = 10 + seed * 3;
+    Matrix m(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      m(i, i) = rng.uniform(2.0, 4.0) + 0.5 * static_cast<double>(n) * 0.1;
+      for (std::size_t j = 0; j < i; ++j) {
+        if (i - j > 2 && !rng.bernoulli(0.05)) continue;
+        const double v = rng.uniform(-0.2, 0.2);
+        m(i, j) = v;
+        m(j, i) = v;
+      }
+    }
+    std::vector<double> b(n);
+    for (double& v : b) v = rng.normal();
+    const auto want = dense_ldlt_solve(m, b);
+    const auto got = solve_spd(m, b);
+    ASSERT_TRUE(want.has_value() && got.has_value());
+    EXPECT_TRUE(same_bits(*got, *want)) << "seed " << seed;
+  }
+}
+
+TEST(QpTest, MatchesDenseAdmmBitwise) {
+  const QpSettings settings;
+  int refactored = 0;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    const QpProblem p = random_sparse_qp(seed);
+    const QpResult want = dense_reference_qp(p, settings);
+    const QpResult got = QpSolver(settings).solve(p);
+    EXPECT_EQ(got.status, want.status) << "seed " << seed;
+    EXPECT_EQ(got.iterations, want.iterations) << "seed " << seed;
+    EXPECT_EQ(got.factorizations, want.factorizations) << "seed " << seed;
+    EXPECT_TRUE(same_bits(got.x, want.x)) << "seed " << seed;
+    EXPECT_TRUE(same_bits(got.y, want.y)) << "seed " << seed;
+    EXPECT_TRUE(same_bits({got.objective}, {want.objective})) << "seed " << seed;
+    refactored += want.factorizations > 1 ? 1 : 0;
+  }
+  // The adaptive-rho refactor path is part of what must match.
+  EXPECT_GT(refactored, 0);
+}
 
 // -------------------------------------------------------------------- QP
 
