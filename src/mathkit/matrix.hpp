@@ -7,9 +7,10 @@
 
 namespace icoil::math {
 
-/// Dense row-major matrix of doubles. Sized for the small/medium problems a
-/// parking MPC produces (tens to a few hundred variables), so simplicity and
-/// cache-friendly loops beat sparse machinery.
+/// Dense row-major matrix of doubles: the assembly format of the small
+/// problems in this code base (tens to a few hundred rows). Solvers that
+/// need the sparsity take it from here: QpSolver copies its matrices into
+/// compressed rows and Ldlt stores only the fill of its factor.
 class Matrix {
  public:
   Matrix() = default;

@@ -55,10 +55,14 @@ struct QpResult {
   bool ok() const { return status == QpStatus::kSolved; }
 };
 
-/// Dense ADMM solver implementing the OSQP algorithm
-/// (Stellato et al., "OSQP: an operator splitting solver for quadratic
-/// programs"). Suitable for the few-hundred-variable QPs produced by the
-/// parking MPC. Supports warm starting via `x0`/`y0`.
+/// ADMM solver implementing the OSQP algorithm (Stellato et al., "OSQP: an
+/// operator splitting solver for quadratic programs") on the sparsity of
+/// the problem. P and A are copied into compressed rows once per solve, the
+/// KKT matrix P + sigma I + A^T R A is built from the nonzero pairs of each
+/// row of A, and Ldlt factors it keeping only its fill. Every sum runs in
+/// the order of the dense loops with the zero terms left out, so results
+/// are bit-identical to the dense algorithm. Sized for the few-hundred-
+/// variable QPs of the parking MPC. Supports warm starting via `x0`/`y0`.
 class QpSolver {
  public:
   explicit QpSolver(QpSettings settings = {}) : settings_(settings) {}

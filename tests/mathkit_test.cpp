@@ -277,17 +277,22 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
 TEST(LdltTest, MatchesDenseFactorizationBitwise) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     Rng rng(seed + 40);
-    // Sparse SPD: a banded lower part plus scattered entries, mirrored.
+    // Sparse, diagonally dominant SPD: a band plus scattered entries,
+    // mirrored, so the factor fills in between.
     const std::size_t n = 10 + seed * 3;
     Matrix m(n, n);
     for (std::size_t i = 0; i < n; ++i) {
-      m(i, i) = rng.uniform(2.0, 4.0) + 0.5 * static_cast<double>(n) * 0.1;
       for (std::size_t j = 0; j < i; ++j) {
-        if (i - j > 2 && !rng.bernoulli(0.05)) continue;
-        const double v = rng.uniform(-0.2, 0.2);
+        if (i - j > 2 && !rng.bernoulli(0.1)) continue;
+        const double v = rng.uniform(-1.0, 1.0);
         m(i, j) = v;
         m(j, i) = v;
       }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      double row = 0.0;
+      for (std::size_t j = 0; j < n; ++j) row += std::abs(m(i, j));
+      m(i, i) = row + rng.uniform(0.01, 0.5);
     }
     std::vector<double> b(n);
     for (double& v : b) v = rng.normal();
