@@ -303,6 +303,27 @@ TEST(LdltTest, MatchesDenseFactorizationBitwise) {
   }
 }
 
+TEST(LdltTest, StoresOnlyTheFill) {
+  // Tridiagonal: no fill, one stored entry per subdiagonal element.
+  const std::size_t n = 30;
+  Matrix tri(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    tri(i, i) = 4.0;
+    if (i > 0) tri(i, i - 1) = tri(i - 1, i) = -1.0;
+  }
+  const auto band = Ldlt::factorize(tri);
+  ASSERT_TRUE(band.has_value());
+  EXPECT_EQ(band->nonzeros(), n - 1);
+
+  // An arrow pointing up-left (dense first row and column) fills the whole
+  // lower triangle in the natural order.
+  Matrix arrow = Matrix::identity(n) * 2.0 * static_cast<double>(n);
+  for (std::size_t i = 1; i < n; ++i) arrow(i, 0) = arrow(0, i) = 1.0;
+  const auto full = Ldlt::factorize(arrow);
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(full->nonzeros(), n * (n - 1) / 2);
+}
+
 TEST(QpTest, MatchesDenseAdmmBitwise) {
   const QpSettings settings;
   int refactored = 0;
