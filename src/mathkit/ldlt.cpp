@@ -7,59 +7,36 @@ namespace icoil::math {
 std::optional<Ldlt> Ldlt::factorize(const Matrix& m, double pivot_tol) {
   if (m.rows() != m.cols()) return std::nullopt;
   const std::size_t n = m.rows();
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   Ldlt f;
   f.d_.assign(n, 0.0);
-
-  // Symbolic: row i of L is nonzero where the elimination-tree paths from
-  // the nonzeros of m(i, 0..i-1) reach. Marking and then sweeping k upward
-  // leaves each row's columns in ascending order.
-  std::vector<std::size_t> parent(n, kNone), mark(n, kNone), col_count(n, 0);
-  std::vector<std::size_t> row_start(n + 1, 0), row_col;
-  for (std::size_t i = 0; i < n; ++i) {
-    mark[i] = i;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (m(i, j) == 0.0) continue;
-      for (std::size_t k = j; mark[k] != i; k = parent[k]) {
-        if (parent[k] == kNone) parent[k] = i;
-        mark[k] = i;
-      }
-    }
-    for (std::size_t k = 0; k < i; ++k) {
-      if (mark[k] != i) continue;
-      row_col.push_back(k);
-      ++col_count[k];
-    }
-    row_start[i + 1] = row_col.size();
-  }
   f.col_start_.assign(n + 1, 0);
-  for (std::size_t k = 0; k < n; ++k)
-    f.col_start_[k + 1] = f.col_start_[k] + col_count[k];
-  f.col_row_.resize(row_col.size());
-  f.col_val_.resize(row_col.size());
 
-  // Numeric, row by row. y[j] starts at m(i, j) and takes the term
-  // l(i,k) l(j,k) d(k) of every k < j in ascending order, as the dense
-  // column loop does; the terms left out have a zero factor. Rows fill the
-  // columns of L in ascending row order.
-  std::vector<std::size_t> col_fill(f.col_start_.begin(), f.col_start_.end() - 1);
-  std::vector<double> y(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t begin = row_start[i], end = row_start[i + 1];
-    for (std::size_t p = begin; p < end; ++p) y[row_col[p]] = m(i, row_col[p]);
-    double di = m(i, i);
-    for (std::size_t p = begin; p < end; ++p) {
-      const std::size_t k = row_col[p];
-      const double dk = f.d_[k];
-      const double lik = y[k] / dk;
-      for (std::size_t q = f.col_start_[k]; q < col_fill[k]; ++q)
-        y[f.col_row_[q]] -= lik * f.col_val_[q] * dk;
-      di -= lik * lik * dk;
-      f.col_row_[col_fill[k]] = i;
-      f.col_val_[col_fill[k]++] = lik;
+  // Right-looking, column by column, on a column-major copy of the lower
+  // triangle: w[c * n + r] holds m(r, c) minus the terms of the columns
+  // eliminated so far. Entry (r, c) takes l(r,k) l(c,k) d(k) for every
+  // k < c in ascending order, as the dense loops do; the terms left out
+  // have a zero factor.
+  std::vector<double> w(n * n);
+  for (std::size_t c = 0; c < n; ++c)
+    for (std::size_t r = c; r < n; ++r) w[c * n + r] = m(r, c);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double dk = w[k * n + k];
+    if (std::abs(dk) < pivot_tol) return std::nullopt;
+    f.d_[k] = dk;
+    const std::size_t begin = f.col_row_.size();
+    for (std::size_t r = k + 1; r < n; ++r) {
+      if (w[k * n + r] == 0.0) continue;
+      f.col_row_.push_back(r);
+      f.col_val_.push_back(w[k * n + r] / dk);
     }
-    if (std::abs(di) < pivot_tol) return std::nullopt;
-    f.d_[i] = di;
+    const std::size_t end = f.col_row_.size();
+    f.col_start_[k + 1] = end;
+    for (std::size_t p = begin; p < end; ++p) {
+      const std::size_t c = f.col_row_[p];
+      const double lck = f.col_val_[p];
+      for (std::size_t q = p; q < end; ++q)
+        w[c * n + f.col_row_[q]] -= f.col_val_[q] * lck * dk;
+    }
   }
   return f;
 }

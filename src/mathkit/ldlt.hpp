@@ -11,11 +11,12 @@ namespace icoil::math {
 /// Used as the linear-system kernel of the ADMM QP solver, where the KKT
 /// matrix (P + sigma*I + rho*A^T A) is symmetric positive definite.
 ///
-/// Only the lower triangle of the input is read, and L is stored sparse:
-/// its pattern comes from the elimination tree, in the natural variable
-/// order. Every sum runs over the same ascending indices as the dense
-/// textbook loops, with the terms that are exactly zero left out, so the
-/// factors and solutions are bit-identical to the dense algorithm.
+/// Only the lower triangle of the input is read. L keeps the natural
+/// variable order and stores only its nonzeros, by columns, and the
+/// elimination and both triangular solves visit only those. Every sum runs
+/// over the same ascending indices as the dense textbook loops, with the
+/// terms that are exactly zero left out, so the factors and solutions are
+/// bit-identical to the dense algorithm.
 class Ldlt {
  public:
   /// Factorize `m` (must be square, symmetric). Returns std::nullopt when a
